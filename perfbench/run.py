@@ -1,6 +1,6 @@
 """Run one benchmark measurement from the repository root::
 
-    python3 perfbench/run.py --workload hot-zipf --seed 1 --seconds 22 --trace 0
+    python3 perfbench/run.py --workload hot-zipf --seed 1 --seconds 30 --trace 0
 
 See ``perfbench/README.md`` for the workloads and every metric.
 """

@@ -23,13 +23,13 @@ Two design points matter at serving rates:
   :meth:`~MetricsRegistry.gauge_fn`) reads those on scrape instead of
   double-counting on the hot path.
 
-Cross-process aggregation uses **snapshot ingestion**: a worker ships
-its registry's :meth:`~MetricsRegistry.snapshot` back on ping, the
-parent :meth:`~MetricsRegistry.ingest`\\ s it under the worker's
-source id, and :meth:`~MetricsRegistry.render` emits those series with
-a ``worker`` label. Ingestion *replaces* the source's previous
-contribution, so re-shipping the same cumulative snapshot is
-idempotent — the merge can never double-count a retried ping.
+Cross-registry aggregation uses **snapshot ingestion**: a worker's
+registry :meth:`~MetricsRegistry.snapshot` is
+:meth:`~MetricsRegistry.ingest`\\ ed under the worker's source id,
+and :meth:`~MetricsRegistry.render` emits those series with a
+``worker`` label. Ingestion *replaces* the source's previous
+contribution, so re-ingesting the same cumulative snapshot is
+idempotent — the merge can never double-count a repeated scrape.
 
 >>> from repro.obs import MetricsRegistry
 >>> registry = MetricsRegistry()

@@ -153,12 +153,12 @@ class QueryBroker:
         free of telemetry work.
     router:
         Optional :class:`~repro.cluster.ShardRouter`. When set, each
-        batch's columns are computed by the router's worker processes
-        (sharded across them) instead of the in-process engine; the
-        snapshot pin goes through the router so a concurrent hot-swap
-        can never release a generation a dispatched batch still
-        needs. Node resolution and result rendering stay in the
-        parent either way.
+        batch is answered by the router's workers (sharded across
+        them, top-k selection included) instead of the snapshot's own
+        engine; the snapshot pin goes through the router so a
+        concurrent hot-swap can never release a generation a
+        dispatched batch still needs. Node resolution and result
+        rendering stay in the broker either way.
 
     Examples
     --------
@@ -584,12 +584,10 @@ class QueryBroker:
             return
 
         ids = [node for _, node, _ in work]
-        # worker-side top-k: ship selection tasks, not column
-        # requests — the workers run the exact parent ranking
-        # algorithm and only (k, B) ids+scores cross the pipe
-        task_mode = self._router is not None and getattr(
-            self._router, "worker_topk", False
-        )
+        # cluster mode ships selection tasks, not column requests:
+        # the workers run the exact ranking algorithm and only
+        # (k, B) ids+scores come back
+        task_mode = self._router is not None
         tasks: list[dict] | None = None
         if task_mode:
             tasks = [
@@ -607,14 +605,9 @@ class QueryBroker:
                 }
                 for request, node, extra in work
             ]
-        shard_meta = None
-        if self._router is not None and obs.enabled:
-            shard_meta = {
-                "trace_ids": [
-                    r.trace.trace_id for r, _, _ in work
-                    if r.trace is not None
-                ],
-            }
+        shard_meta = (
+            {} if self._router is not None and obs.enabled else None
+        )
 
         canary = self.canary
 
@@ -634,10 +627,6 @@ class QueryBroker:
             if task_mode:
                 cols = self._router.compute_tasks(
                     snapshot.seq, tasks, meta=shard_meta
-                )
-            elif self._router is not None:
-                cols = self._router.compute(
-                    snapshot.seq, ids, meta=shard_meta
                 )
             else:
                 cols = engine.columns(ids)
@@ -684,13 +673,7 @@ class QueryBroker:
                         shard.get("seconds", 0.0),
                         start_s=shard.get("start_s", t_compute),
                         worker=shard.get("worker"),
-                        pid=shard.get("pid"),
                         ids=shard.get("ids"),
-                        # the worker echoed the batch's trace ids back
-                        # over the pipe; True proves this request's id
-                        # crossed the process boundary and returned
-                        echoed=trace.trace_id
-                        in shard.get("trace_ids", ()),
                     )
                 trace.add_span(
                     "compute",
@@ -759,10 +742,9 @@ class QueryBroker:
     def _render_task_result(self, item, node, engine, labels):
         """A full result from one worker-side task reply.
 
-        Workers ship ranked node ids and scores but never labels —
-        the parent holds the identical graph, so re-attaching labels
-        here reconstructs the exact :class:`Ranking` the parent path
-        would have built, at a fraction of the transport bytes.
+        Workers return ranked node ids and scores without labels;
+        re-attaching them from the pinned graph reconstructs the exact
+        :class:`Ranking` the in-process path would have built.
         """
         tag = item[0]
         if tag == "error":

@@ -5,13 +5,13 @@ One function, :func:`run_drill`, stands up a real cluster-mode
 attacks it with the pool's chaos hooks while client load is in
 flight:
 
-* **kill** — ``kill_worker`` SIGKILLs a worker mid-batch; the
-  breaker trips, the in-process fallback answers the shard, the
+* **kill** — ``kill_worker`` crashes a worker mid-batch; the
+  breaker trips, the fallback engine answers the shard, the
   respawned worker is restored by a half-open probe.
 * **hang** — ``hang_worker`` wedges a worker past ``shard_timeout``;
   same recovery path, exercised through the timeout detector.
-* **corrupt** — ``corrupt_next_reply`` desynchronises one reply's
-  framing; the crash detector treats it like a dead worker.
+* **corrupt** — ``corrupt_next_reply`` poisons one shard reply; the
+  crash detector treats it like a dead worker.
 * **bad green** — a blue-green canary whose green side is forced to
   error (``inject_green_fault``) must auto-roll back with blue still
   serving.
@@ -88,7 +88,6 @@ def _post_top_k(url: str, query: int, k: int, timeout: float) -> str:
 
 def run_drill(
     *,
-    backend: str = "process",
     workers: int = 2,
     clients: int = 16,
     requests_per_client: int = 4,
@@ -119,16 +118,13 @@ def run_drill(
     breaker-transition JSONL (the CI artifacts).
 
     Defaults are CI-sized; tests call it with smaller ``clients`` /
-    ``nodes``. ``backend`` selects the process or thread pool — the
-    drill is identical for both because the chaos hooks are part of
-    the pool contract.
+    ``nodes``.
     """
     graph = random_digraph(nodes, edges, seed=seed)
     service = ServingService(
         graph,
         num_iterations=5,
         workers=workers,
-        backend=backend,
         shard_timeout=shard_timeout,
         # every request must reach dispatch for the ledger to mean
         # anything — the result cache would hide repeats
@@ -255,7 +251,6 @@ def run_drill(
         ),
     }
     report = {
-        "backend": backend,
         "workers": workers,
         "submitted": submitted,
         "counts": counts,

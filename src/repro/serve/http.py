@@ -16,12 +16,13 @@ Endpoints
 ``GET /metrics``
     Prometheus text exposition (version 0.0.4) of every registered
     series — broker, caches, snapshot/delta, cluster (merged across
-    worker processes), and engine. See :mod:`repro.obs` and
+    workers), and engine. See :mod:`repro.obs` and
     ``docs/observability.md`` for the catalog.
 ``POST /top_k``
     Body ``{"query": <id-or-label>, "k": 10, "include_query": false}``
-    -> the ranking as JSON. An optional ``"deadline_ms"`` field
-    overrides the server's default per-request deadline.
+    -> the ranking as JSON; ``k`` must be a JSON integer >= 1. An
+    optional ``"deadline_ms"`` field (a finite number >= 0) overrides
+    the server's default per-request deadline.
 ``POST /score``
     Body ``{"u": <id-or-label>, "v": <id-or-label>}`` -> the score.
     Accepts the same optional ``"deadline_ms"`` field.
@@ -36,7 +37,7 @@ Endpoints
     field) and the response carries the live canary document; a
     canary already in flight answers 409.
 
-Unknown nodes and malformed bodies answer 400 with
+Unknown nodes, malformed bodies and ill-typed fields answer 400 with
 ``{"error": ...}``; unexpected server-side failures answer 500. The
 overload guard speaks HTTP too: a shed request
 (:class:`~repro.serve.guard.Overloaded`) answers **429** with a
@@ -47,6 +48,7 @@ overload guard speaks HTTP too: a shed request
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -55,6 +57,47 @@ from repro.serve.guard import DeadlineExceeded, Overloaded
 from repro.serve.service import ServingService
 
 __all__ = ["SimilarityHTTPServer", "ranking_to_dict", "serve_http"]
+
+
+def _k_field(body: dict) -> int:
+    """``body["k"]`` (default 10): a JSON integer >= 1, never a bool.
+
+    >>> _k_field({"k": 3}), _k_field({})
+    (3, 10)
+    >>> _k_field({"k": 2.5})
+    Traceback (most recent call last):
+        ...
+    ValueError: field 'k' must be an integer >= 1
+    """
+    k = body.get("k", 10)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError("field 'k' must be an integer >= 1")
+    return k
+
+
+def _deadline_field(body: dict) -> float | None:
+    """``body["deadline_ms"]``: absent/null, or a finite number >= 0.
+
+    >>> _deadline_field({}), _deadline_field({"deadline_ms": 50})
+    (None, 50.0)
+    >>> _deadline_field({"deadline_ms": -5})
+    Traceback (most recent call last):
+        ...
+    ValueError: field 'deadline_ms' must be a finite number >= 0
+    """
+    value = body.get("deadline_ms")
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value < 0
+    ):
+        raise ValueError(
+            "field 'deadline_ms' must be a finite number >= 0"
+        )
+    return float(value)
 
 
 def ranking_to_dict(ranking: Ranking) -> dict:
@@ -147,15 +190,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json({"error": f"bad JSON body: {exc}"}, 400)
             return
         try:
-            deadline_ms = body.get("deadline_ms")
-            if deadline_ms is not None:
-                deadline_ms = float(deadline_ms)
+            deadline_ms = _deadline_field(body)
             if self.path == "/top_k":
                 if "query" not in body:
                     raise KeyError("missing field 'query'")
                 ranking = service.top_k_sync(
                     body["query"],
-                    k=int(body.get("k", 10)),
+                    k=_k_field(body),
                     include_query=bool(body.get("include_query", False)),
                     deadline_ms=deadline_ms,
                 )

@@ -66,38 +66,21 @@ class ServingService:
         there on warmup/mutate. See
         :class:`~repro.serve.snapshot.SnapshotManager`.
     workers:
-        ``0`` (default) answers batches with the in-process engine.
-        Any positive count scales out instead: a
-        :class:`~repro.cluster.WorkerPool` of that many worker
-        *processes* is forked when the service starts, each
-        memory-mapping the same persisted index (one shared page
-        cache), and every coalesced micro-batch is split into
-        per-worker column shards by a
-        :class:`~repro.cluster.ShardRouter`. Mutations run the
-        two-phase worker swap automatically; a dead worker is
-        respawned and its shard retried, never dropped.
-    backend:
-        Cluster backend: ``"process"`` (default) forks a
-        :class:`~repro.cluster.WorkerPool`; ``"thread"`` runs the
-        same router over a :class:`~repro.cluster.ThreadWorkerPool`
-        — per-thread engines adopting one in-process index, no
-        transport at all (the kernels release the GIL inside
-        scipy/BLAS).
-    transport / ring_slots / ring_mb:
-        Process-backend transport knobs
-        (:class:`~repro.cluster.WorkerPool`): ``transport="shm"``
-        (default) returns shard results through per-worker
-        shared-memory rings with ``ring_slots`` slots of at most
-        ``ring_mb`` MiB each; ``transport="pickle"`` forces the
-        classic pickled transport.
-    worker_topk:
-        When true (default, cluster mode), top-k selection runs
-        *inside* the workers and only ``(k, B)`` ids+scores cross
-        the pipe; false ships full score columns and selects
-        parent-side.
-    mp_context / shard_timeout:
-        Cluster-only knobs, passed to the
-        :class:`~repro.cluster.WorkerPool`.
+        ``0`` (default) answers batches with the snapshot's own
+        engine. Any positive count scales out instead: a
+        :class:`~repro.cluster.ThreadWorkerPool` of that many
+        per-thread engines (one shared in-memory index; the kernels
+        release the GIL inside scipy/BLAS) is primed when the service
+        starts, and every coalesced micro-batch is split into
+        per-worker shards by a :class:`~repro.cluster.ShardRouter`,
+        with top-k selection run inside each shard. Mutations run the
+        two-phase worker swap automatically; a crashed worker is
+        respawned and its shard retried, never dropped. Negative
+        counts are rejected with :class:`ValueError`.
+    shard_timeout:
+        Cluster-only: seconds before a hung worker's shard is
+        declared crashed (see
+        :class:`~repro.cluster.ThreadWorkerPool`).
     delta_mode / max_delta_fraction / max_chain_depth:
         Incremental-maintenance knobs, passed to the
         :class:`~repro.serve.snapshot.SnapshotManager`: small edge
@@ -131,7 +114,7 @@ class ServingService:
     breaker_threshold / breaker_cooldown_s:
         Per-worker circuit breaker (cluster mode): after
         ``breaker_threshold`` consecutive crashes a worker's breaker
-        opens and its shards are answered by the in-process fallback
+        opens and its shards are answered by the snapshot's own
         engine; after ``breaker_cooldown_s`` seconds a half-open
         probe decides whether to restore it. See
         :class:`~repro.serve.guard.BreakerBoard`.
@@ -177,13 +160,7 @@ class ServingService:
         cache_entries: int = 1024,
         index_path=None,
         workers: int = 0,
-        backend: str = "process",
-        mp_context: str = "spawn",
         shard_timeout: float = 120.0,
-        transport: str = "shm",
-        ring_slots: int = 2,
-        ring_mb: float = 64.0,
-        worker_topk: bool = True,
         delta_mode: str = "auto",
         max_delta_fraction: float = 0.10,
         max_chain_depth: int = 8,
@@ -202,6 +179,8 @@ class ServingService:
     ) -> None:
         from repro.obs import NullObservability, Observability
 
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         self.observability = (
             Observability(
                 slow_query_ms=slow_query_ms,
@@ -223,37 +202,15 @@ class ServingService:
             ResultCache(cache_entries) if cache_entries else None
         )
         self.cluster = None
-        if backend not in ("process", "thread"):
-            raise ValueError(
-                f"backend must be 'process' or 'thread', got {backend!r}"
-            )
         if workers:
-            from repro.cluster import (
-                ShardRouter,
-                ThreadWorkerPool,
-                WorkerPool,
-            )
+            from repro.cluster import ShardRouter, ThreadWorkerPool
 
-            if backend == "thread":
-                pool = ThreadWorkerPool(
-                    workers=workers,
-                    shard_timeout=shard_timeout,
-                )
-            else:
-                pool = WorkerPool(
-                    workers=workers,
-                    mp_context=mp_context,
-                    shard_timeout=shard_timeout,
-                    transport=transport,
-                    ring_slots=ring_slots,
-                    ring_mb=ring_mb,
-                    ring_max_batch=max_batch,
-                )
             self.cluster = ShardRouter(
-                pool,
+                ThreadWorkerPool(
+                    workers=workers, shard_timeout=shard_timeout
+                ),
                 self.snapshots,
                 obs=self.observability,
-                worker_topk=worker_topk,
                 breaker_threshold=breaker_threshold,
                 breaker_cooldown_s=breaker_cooldown_s,
             )
@@ -296,7 +253,7 @@ class ServingService:
     # ------------------------------------------------------------------
     async def __aenter__(self) -> "ServingService":
         if self.cluster is not None and not self.cluster.started:
-            # forking + priming K workers blocks; keep it off the loop
+            # priming K workers blocks; keep it off the loop
             await asyncio.get_running_loop().run_in_executor(
                 None, self.cluster.start
             )
@@ -339,8 +296,8 @@ class ServingService:
     def start_background(self) -> None:
         """Run the broker on a private event loop in a daemon thread.
 
-        In cluster mode (``workers=K``) this is also what forks the
-        worker pool — construction alone never spawns a process.
+        In cluster mode (``workers=K``) this is also what primes the
+        worker pool — construction alone never builds worker engines.
         """
         if self._thread is not None:
             raise RuntimeError("service already running in background")
@@ -562,28 +519,22 @@ class ServingService:
             "observability": self.observability.describe(),
         }
 
-    def metrics_text(self, *, ping_workers: bool = True) -> str:
+    def metrics_text(self) -> str:
         """The Prometheus text exposition (the ``/metrics`` body).
 
         Renders every registered series at call time — the callback
         series read the broker/cache/snapshot/cluster/engine stats on
         this very call, so the document always reflects the live
-        counters. In cluster mode each worker is pinged first (unless
-        ``ping_workers=False``) and its cumulative metric snapshot is
-        merged into the registry with replacement semantics, so the
+        counters. In cluster mode each worker's cumulative metric
+        snapshot is merged first with replacement semantics, so the
         worker-side series (``repro_worker_*``, one
-        ``worker="worker-<i>"`` label per process) cover the whole
-        pool; a busy worker keeps its previous contribution.
+        ``worker="worker-<i>"`` label per worker) cover the whole
+        pool.
 
         With telemetry disabled, returns a one-line comment document
         (still valid Prometheus text).
         """
         obs = self.observability
-        if (
-            obs.enabled
-            and ping_workers
-            and self.cluster is not None
-            and self.cluster.started
-        ):
+        if obs.enabled and self.cluster is not None and self.cluster.started:
             self.cluster.collect_worker_metrics(obs.registry)
         return obs.render()

@@ -18,8 +18,7 @@ replacement engine is warmed from the on-disk
 :class:`~repro.index.SimilarityIndex` whenever its graph/config
 fingerprint matches the graph about to be served, and freshly built
 engines persist their artifacts back after warmup — so a server
-restart loads (memory-maps) instead of rebuilding, and N workers
-pointed at the same file share one page cache.
+restart loads (memory-maps) instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -186,7 +185,7 @@ class SnapshotManager:
         :class:`~repro.cluster.ShardRouter` wires these to the
         two-phase worker swap (``prepare`` everywhere, then
         ``commit`` + deferred release), which is how a
-        multi-process deployment keeps the zero-failed-requests
+        multi-worker deployment keeps the zero-failed-requests
         guarantee across a mutation.
 
     Examples
@@ -375,18 +374,6 @@ class SnapshotManager:
         save_delta(
             delta, delta_sibling_path(self.index_path, self._delta_seq)
         )
-        self.index_saves += 1
-
-    def mark_persisted(self, engine: SimilarityEngine) -> None:
-        """Record that ``engine``'s artifacts already sit on
-        ``index_path`` (written by another layer).
-
-        :class:`~repro.cluster.ShardRouter` calls this after mirroring
-        a generation's index file onto ``index_path``, so the manager
-        does not serialise the identical artifacts a second time at
-        the end of the same mutation.
-        """
-        self._last_persisted = engine
         self.index_saves += 1
 
     @property
@@ -632,7 +619,7 @@ class SnapshotManager:
         """Two-phase swap; returns ``(prepare_s, commit_s)``."""
         t_prepare = perf_counter()
         if self.pre_swap is not None:
-            # two-phase swap, phase one: remote holders (cluster
+            # two-phase swap, phase one: other holders (cluster
             # workers) build their replacement engines while the
             # old snapshot keeps serving. Raising aborts the
             # mutation with serving untouched.

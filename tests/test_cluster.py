@@ -1,9 +1,8 @@
 """Tests for :mod:`repro.cluster` — sharded serving, failure paths.
 
-The expensive part of every test here is forking workers (``spawn``
-context: a fresh interpreter + numpy import per worker), so the
-happy-path tests share one module-scoped router; the failure-injection
-and hot-swap tests build their own, on deliberately small graphs.
+The happy-path tests share one module-scoped router; the
+failure-injection and hot-swap tests build their own, on deliberately
+small graphs.
 """
 
 from __future__ import annotations
@@ -15,16 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterError,
-    ShardRouter,
-    WorkerPool,
-    graph_from_payload,
-    graph_to_payload,
-)
+from repro.cluster import ClusterError, ShardRouter, ThreadWorkerPool
 from repro.engine import SimilarityConfig, SimilarityEngine
 from repro.graph.generators import random_digraph
-from repro.index.artifacts import graph_fingerprint
 from repro.serve import ServingService, SnapshotManager
 
 CONFIG = SimilarityConfig(measure="gSR*", c=0.6, num_iterations=8)
@@ -35,7 +27,7 @@ def cluster_env():
     """A started 2-worker router over a 300-node graph."""
     graph = random_digraph(300, 1800, seed=7)
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
     router.start()
     yield graph, snapshots, router
     router.stop()
@@ -48,34 +40,16 @@ def reference_engine(cluster_env):
 
 
 # ---------------------------------------------------------------------------
-# payloads (no processes involved)
+# construction
 # ---------------------------------------------------------------------------
-def test_graph_payload_roundtrip_preserves_digest():
-    graph = random_digraph(60, 240, seed=3)
-    rebuilt = graph_from_payload(graph_to_payload(graph))
-    assert rebuilt == graph
-    assert (
-        graph_fingerprint(rebuilt)["digest"]
-        == graph_fingerprint(graph)["digest"]
-    )
-
-
-def test_labels_survive_payload_roundtrip():
-    from repro.graph import figure1_citation_graph
-
-    graph = figure1_citation_graph()
-    rebuilt = graph_from_payload(graph_to_payload(graph))
-    assert rebuilt.labels == graph.labels
-
-
 def test_pool_rejects_bad_worker_count():
     with pytest.raises(ValueError, match="workers"):
-        WorkerPool(workers=0)
+        ThreadWorkerPool(workers=0)
 
 
 def test_router_compute_requires_start():
     snapshots = SnapshotManager(random_digraph(20, 60, seed=1), CONFIG)
-    router = ShardRouter(WorkerPool(workers=1), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=1), snapshots)
     with pytest.raises(ClusterError, match="not started"):
         router.compute(0, [0, 1])
 
@@ -145,7 +119,7 @@ def test_duplicate_and_empty_batches(cluster_env):
 
 
 # ---------------------------------------------------------------------------
-# worker failure: killed workers respawn, requests never drop
+# worker failure: crashed workers respawn, requests never drop
 # ---------------------------------------------------------------------------
 def test_killed_worker_is_respawned_and_shard_retried(cluster_env):
     _, _, router = cluster_env
@@ -186,13 +160,13 @@ def test_kill_mid_batch_request_still_completes(cluster_env):
 
 
 # ---------------------------------------------------------------------------
-# hot-swap: two-phase propagation, abort-on-failure, corrupt index
+# hot-swap: two-phase propagation, abort-on-failure
 # ---------------------------------------------------------------------------
 @pytest.fixture()
 def swap_env():
     graph = random_digraph(120, 600, seed=11)
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
     snapshots.pre_swap = router.pre_swap
     snapshots.post_swap = router.post_swap
     router.start()
@@ -264,19 +238,26 @@ def test_aborted_prepare_unregisters_the_failed_generation(
     """A failed swap must not poison later respawns with a bad gen."""
     _, snapshots, router = swap_env
     pool = router.pool
+    adopt = ThreadWorkerPool._adopt
+    adopted = []
 
-    def failing_prepare_worker(self, worker, seq):
-        raise ClusterError("injected: prepare_failed")
+    def failing_second_adoption(source):
+        # the first worker adopts the new generation, the second fails
+        if len(adopted) == 1:
+            raise ClusterError("injected: prepare_failed")
+        adopted.append(source)
+        return adopt(source)
 
     monkeypatch.setattr(
-        WorkerPool, "_prepare_worker", failing_prepare_worker
+        ThreadWorkerPool, "_adopt", staticmethod(failing_second_adoption)
     )
     with pytest.raises(ClusterError, match="injected"):
         snapshots.mutate(add=[(0, 5)])
     monkeypatch.undo()
-    # the failed generation is gone from the replay set and disk
+    # the failed generation is gone from the replay set and from
+    # every worker, including the one that adopted it
     assert pool.describe()["generations"] == [0]
-    assert not pool.generation_path(1).exists()
+    assert all(w["generations"] == [0] for w in pool.worker_status())
     # crash recovery replays only healthy generations
     pool.kill_worker(0)
     snapshot = router.pin()
@@ -291,51 +272,11 @@ def test_respawn_refused_after_stop():
     snapshots = SnapshotManager(
         random_digraph(30, 90, seed=2), CONFIG
     )
-    router = ShardRouter(WorkerPool(workers=1), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=1), snapshots)
     router.start()
     router.stop()
     with pytest.raises(ClusterError, match="stopped"):
         router.pool.respawn(0)
-
-
-def test_corrupt_index_mid_swap_falls_back_to_worker_rebuild(
-    swap_env, monkeypatch
-):
-    _, snapshots, router = swap_env
-    pool = router.pool
-    # force the full-index path: the scenario under test is a corrupt
-    # gen-<seq>.simidx container, which delta swaps never write
-    snapshots.delta_mode = "off"
-    register = WorkerPool._register_generation
-
-    def corrupting_register(self, snapshot):
-        payload = register(self, snapshot)
-        # scribble over the persisted container *after* the parent
-        # wrote it and *before* any worker maps it — the worst-timed
-        # corruption a real deployment could see
-        self.generation_path(snapshot.seq).write_bytes(
-            b"not a simidx file"
-        )
-        return payload
-
-    monkeypatch.setattr(
-        WorkerPool, "_register_generation", corrupting_register
-    )
-    fresh = snapshots.mutate(add=[(0, 7), (1, 7)])
-    # the swap still completed: workers rebuilt from the shipped
-    # graph instead of the corrupt file, and serve the new content
-    status = pool.worker_status()
-    assert all(w["current_seq"] == fresh.seq for w in status)
-    assert sum(w["prepare_rebuilds"] for w in status) >= 2
-    snapshot = router.pin()
-    try:
-        columns = router.compute(snapshot.seq, [7])
-    finally:
-        router.unpin(snapshot.seq)
-    expected = SimilarityEngine(
-        fresh.graph, CONFIG
-    ).single_source(7)
-    np.testing.assert_array_equal(columns[7], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -383,49 +324,6 @@ def test_service_with_workers_serves_and_swaps_mid_traffic():
         if w["alive"]
     )
     service.close()
-
-
-def test_cluster_mirrors_index_to_manager_path(tmp_path):
-    """workers=K + index_path: one serialisation per generation.
-
-    The pool writes the generation file; the manager's ``index_path``
-    gets a cheap mirrored copy (not a second full export). A small
-    mutation rides the delta path: the base file stays untouched and
-    a chained segment lands beside it, and the chain must
-    fingerprint-match the *served* graph after the mutation — a
-    restarted manager warm-loads base + segment without rebuilding.
-    """
-    from repro.index import SimilarityIndex
-    from repro.index.delta import delta_sibling_path
-
-    graph = random_digraph(80, 400, seed=19)
-    path = tmp_path / "g.simidx"
-    service = ServingService(
-        graph, CONFIG, workers=1, cache_entries=0,
-        index_path=str(path),
-    )
-    service.start_background()
-    try:
-        assert path.exists()  # mirrored at pool start
-        saves_after_start = service.snapshots.index_saves
-        base_graph = service.snapshots.current.graph.copy()
-        fresh = service.mutate(add=[(0, 9)])
-        # the delta swap leaves the base container alone and chains
-        # one persisted segment beside it
-        base = SimilarityIndex.load(path)
-        assert base.matches(base_graph, service.config)
-        assert delta_sibling_path(path, 1).exists()
-        # exactly one more persist per mutation (the segment)
-        assert service.snapshots.index_saves == saves_after_start + 1
-        # the persisted chain matches the served graph: a restart
-        # over the mutated content warm-loads instead of rebuilding
-        restarted = SnapshotManager(
-            fresh.graph.copy(), CONFIG, index_path=path
-        )
-        assert restarted.index_loads == 1
-        assert restarted.delta_segments_loaded == 1
-    finally:
-        service.close()
 
 
 def test_service_background_sync_with_workers():

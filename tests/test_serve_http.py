@@ -105,6 +105,40 @@ class TestEndpoints:
             http_json(f"{server.url}/top_k", {"k": 3})
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "route, body, field",
+        [
+            ("/top_k", {"query": "h", "k": 2.5}, "k"),
+            ("/top_k", {"query": "h", "k": "5"}, "k"),
+            ("/top_k", {"query": "h", "k": True}, "k"),
+            ("/top_k", {"query": "h", "k": 0}, "k"),
+            ("/top_k", {"query": "h", "k": None}, "k"),
+            ("/top_k", {"query": "h", "deadline_ms": -5}, "deadline_ms"),
+            ("/top_k", {"query": "h", "deadline_ms": "9"},
+             "deadline_ms"),
+            ("/top_k", {"query": "h", "deadline_ms": True},
+             "deadline_ms"),
+            ("/top_k", {"query": "h", "deadline_ms": float("inf")},
+             "deadline_ms"),
+            ("/score", {"u": "h", "v": "d", "deadline_ms": -5},
+             "deadline_ms"),
+            ("/score", {"u": "h", "v": "d", "deadline_ms": float("nan")},
+             "deadline_ms"),
+        ],
+    )
+    def test_ill_typed_field_answers_400_naming_it(
+        self, server, route, body, field
+    ):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            http_json(f"{server.url}{route}", body)
+        assert excinfo.value.code == 400
+        message = json.loads(excinfo.value.read())["error"]
+        assert f"'{field}'" in message
+        for interpreter_text in (
+            "Traceback", "invalid literal", "int(", "float(", "Error",
+        ):
+            assert interpreter_text not in message
+
     def test_bad_json_answers_400(self, server):
         request = urllib.request.Request(
             f"{server.url}/top_k", data=b"{not json",
@@ -176,6 +210,21 @@ class TestSmokeCli:
         assert 0 < latency["p50_ms"] <= latency["p99_ms"]
         assert sum(latency["histogram"].values()) == 32
         assert "passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--workers", "-1"],
+            ["smoke", "--workers", "-1"],
+            ["chaos", "--workers", "0"],
+        ],
+    )
+    def test_bad_worker_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "Traceback" not in err
 
     def test_list_like_help_runs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

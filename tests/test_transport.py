@@ -1,14 +1,10 @@
-"""Tests for the zero-copy shard transport (PR 9).
+"""Tests for the shard plane of :mod:`repro.cluster`.
 
-Covers the :mod:`repro.cluster.shm` ring protocol at the unit level
-(no processes), the shm-vs-pickle parity and fallback behaviour of
-:class:`~repro.cluster.WorkerPool`, worker-side top-k tie-break
-parity, the :class:`~repro.cluster.ThreadWorkerPool` backend, and the
-rebalanced :meth:`~repro.cluster.ShardRouter._split`.
-
-Forking spawn workers is the expensive part, so the process-backed
-tests share module-scoped routers; failure-injection tests build
-their own small ones.
+Covers worker-side top-k (:func:`~repro.cluster.run_tasks`) and its
+tie-break parity with the broker's own selection, the
+:class:`~repro.cluster.ThreadWorkerPool` behind a router and a
+service, crash-and-retry, and the rebalanced
+:meth:`~repro.cluster.ShardRouter._split`.
 """
 
 from __future__ import annotations
@@ -22,14 +18,7 @@ from repro.cluster import (
     ClusterError,
     ShardRouter,
     ThreadWorkerPool,
-    WorkerPool,
     run_tasks,
-)
-from repro.cluster.shm import (
-    HEADER_BYTES,
-    ResultRing,
-    RingError,
-    ring_available,
 )
 from repro.engine import SimilarityConfig, SimilarityEngine
 from repro.graph import DiGraph
@@ -49,236 +38,27 @@ def tie_heavy_graph() -> DiGraph:
     return DiGraph(left + right, edges=edges)
 
 
-@pytest.fixture(scope="module")
-def shm_env():
-    """A started 2-worker shm-transport router over a small graph."""
+def test_worker_killed_mid_run_retries_to_completion():
     graph = random_digraph(120, 600, seed=11)
-    snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=2), snapshots)
-    router.start()
-    yield graph, snapshots, router
-    router.stop()
-
-
-@pytest.fixture(scope="module")
-def pickle_env(shm_env):
-    """The same graph served over the forced-pickle transport."""
-    graph, _, _ = shm_env
-    snapshots = SnapshotManager(graph, CONFIG)
     router = ShardRouter(
-        WorkerPool(workers=2, transport="pickle"), snapshots
+        ThreadWorkerPool(workers=2), SnapshotManager(graph, CONFIG)
     )
     router.start()
-    yield graph, snapshots, router
-    router.stop()
-
-
-# ---------------------------------------------------------------------------
-# ring protocol, no processes
-# ---------------------------------------------------------------------------
-class TestResultRing:
-    def test_write_read_roundtrip_and_views_are_readonly(self):
-        ring = ResultRing.create(slots=2, slot_bytes=4096)
-        try:
-            cols = [np.arange(8.0), np.arange(8.0) * 2]
-            desc = ring.write(tag=1, ids=[4, 9], columns=cols)
-            block = ring.read(desc)
-            assert np.array_equal(block[0], cols[0])
-            assert np.array_equal(block[1], cols[1])
-            assert not block.flags.writeable
-            assert desc["ids"] == [4, 9]
-        finally:
-            ring.destroy()
-
-    def test_stale_tag_and_torn_write_detected(self):
-        ring = ResultRing.create(slots=2, slot_bytes=4096)
-        try:
-            desc = ring.write(
-                tag=1, ids=[0], columns=[np.ones(4)]
-            )
-            # slot recycled by a later write with the same slot index
-            ring.write(tag=3, ids=[1], columns=[np.zeros(4)])
-            with pytest.raises(RingError, match="stale"):
-                ring.read(desc)
-            # header nbytes disagreeing with the descriptor shape
-            fresh = ring.write(tag=4, ids=[2], columns=[np.ones(4)])
-            ring._header(fresh["slot"])[1] = 1
-            with pytest.raises(RingError, match="torn"):
-                ring.read(fresh)
-        finally:
-            ring.destroy()
-
-    def test_oversized_block_raises_ring_error(self):
-        ring = ResultRing.create(
-            slots=1, slot_bytes=HEADER_BYTES + 32
-        )
-        try:
-            assert not ring.fits(1, 8, np.float64)
-            with pytest.raises(RingError, match="exceeds"):
-                ring.write(
-                    tag=1, ids=[0], columns=[np.ones(8)]
-                )
-        finally:
-            ring.destroy()
-
-    def test_bytes_payload_roundtrip_and_stale_tag(self):
-        ring = ResultRing.create(slots=2, slot_bytes=256)
-        try:
-            desc = ring.write_bytes(tag=5, payload=b"hello rings")
-            assert ring.read_bytes(desc) == b"hello rings"
-            with pytest.raises(RingError, match="stale"):
-                ring.read_bytes(dict(desc, tag=6))
-            with pytest.raises(RingError, match="exceeds"):
-                ring.write_bytes(tag=7, payload=b"x" * 512)
-        finally:
-            ring.destroy()
-
-    def test_descriptor_for_other_ring_rejected(self):
-        a = ResultRing.create(slots=1, slot_bytes=256)
-        b = ResultRing.create(slots=1, slot_bytes=256)
-        try:
-            desc = a.write(tag=1, ids=[0], columns=[np.ones(2)])
-            with pytest.raises(RingError, match="different ring"):
-                b.read(desc)
-        finally:
-            a.destroy()
-            b.destroy()
-
-    def test_ring_available_probes_true_here(self):
-        assert ring_available() is True
-
-
-# ---------------------------------------------------------------------------
-# shm vs pickle parity and accounting
-# ---------------------------------------------------------------------------
-def test_shm_and_pickle_columns_bit_identical(shm_env, pickle_env):
-    _, _, shm_router = shm_env
-    _, _, pickle_router = pickle_env
-    ids = list(range(24))
-    shm_snap = shm_router.pin()
-    pickle_snap = pickle_router.pin()
     try:
-        shm_cols = shm_router.compute(shm_snap.seq, ids)
-        pickle_cols = pickle_router.compute(pickle_snap.seq, ids)
+        snapshot = router.pin()
+        try:
+            before = router.compute(snapshot.seq, [0, 1, 2, 3])
+            router.pool.kill_worker(0)
+            after = router.compute(snapshot.seq, [0, 1, 2, 3])
+        finally:
+            router.unpin(snapshot.seq)
+        assert sum(w.respawns for w in router.pool._workers) >= 1
     finally:
-        shm_router.unpin(shm_snap.seq)
-        pickle_router.unpin(pickle_snap.seq)
-    for q in ids:
-        assert np.array_equal(
-            np.asarray(shm_cols[q]), np.asarray(pickle_cols[q])
-        ), f"column {q} differs between transports"
-
-
-def test_transport_stats_attribute_bytes_to_the_right_path(
-    shm_env, pickle_env
-):
-    _, _, shm_router = shm_env
-    _, _, pickle_router = pickle_env
-    shm_stats = shm_router.pool.transport_stats()
-    pickle_stats = pickle_router.pool.transport_stats()
-    assert shm_stats["mode"] == "shm"
-    assert pickle_stats["mode"] == "pickle"
-    assert shm_stats["ring_replies"] > 0
-    assert pickle_stats["ring_replies"] == 0
-    assert pickle_stats["pickle_replies"] > 0
-    # the descriptor path ships orders of magnitude fewer bytes for
-    # the same column traffic
-    assert (
-        shm_stats["transport_bytes"]
-        < pickle_stats["transport_bytes"]
-    )
-    assert shm_stats["ring_bytes_per_worker"] > 0
-    for row in shm_stats["per_worker"]:
-        assert set(row) >= {
-            "index", "ring_replies", "pickle_replies",
-            "task_replies", "transport_bytes", "compute_seconds",
-            "transport_seconds",
-        }
-
-
-def test_worker_killed_mid_run_retries_to_completion(shm_env):
-    _, _, router = shm_env
-    snapshot = router.pin()
-    try:
-        before = router.compute(snapshot.seq, [0, 1, 2, 3])
-        router.pool.kill_worker(0)
-        after = router.compute(snapshot.seq, [0, 1, 2, 3])
-    finally:
-        router.unpin(snapshot.seq)
+        router.stop()
     for q in before:
         assert np.array_equal(
             np.asarray(before[q]), np.asarray(after[q])
         )
-    assert sum(w.respawns for w in router.pool._workers) >= 1
-
-
-def test_stale_ring_descriptor_crashes_shard_not_request(shm_env):
-    """A descriptor naming an unknown ring is a WorkerCrash — the
-    router's respawn-and-retry machinery, not a poisoned result."""
-    from repro.cluster.pool import WorkerCrash
-
-    _, _, router = shm_env
-    worker = router.pool._workers[0]
-    with pytest.raises(WorkerCrash, match="unknown ring"):
-        router.pool._read_ring(
-            worker, {"name": "psm_gone", "slot": 0, "tag": 1,
-                     "ids": [0], "rows": 1, "cols": 4,
-                     "dtype": "float64"}
-        )
-
-
-def test_shm_unavailable_degrades_to_counted_pickle(monkeypatch):
-    import repro.cluster.pool as pool_mod
-
-    monkeypatch.setattr(pool_mod, "ring_available", lambda: False)
-    graph = random_digraph(60, 240, seed=3)
-    snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=1), snapshots)
-    router.start()
-    try:
-        snapshot = router.pin()
-        try:
-            columns = router.compute(snapshot.seq, [0, 1, 2])
-        finally:
-            router.unpin(snapshot.seq)
-        stats = router.pool.transport_stats()
-    finally:
-        router.stop()
-    assert stats["ring_unavailable"] is True
-    assert stats["ring_replies"] == 0
-    assert stats["pickle_replies"] > 0
-    reference = SimilarityEngine(graph, CONFIG)
-    expected = reference.columns([0, 1, 2])
-    for q, col in expected.items():
-        assert np.allclose(np.asarray(columns[q]), col)
-
-
-def test_block_too_large_for_slot_falls_back_to_pickle():
-    graph = random_digraph(80, 320, seed=5)
-    snapshots = SnapshotManager(graph, CONFIG)
-    # a slot that fits at most one column: any multi-column shard
-    # must take the counted pickle fallback, with identical results
-    router = ShardRouter(
-        WorkerPool(workers=1, ring_max_batch=1, ring_mb=0.001),
-        snapshots,
-    )
-    router.start()
-    try:
-        snapshot = router.pin()
-        try:
-            columns = router.compute(snapshot.seq, list(range(6)))
-        finally:
-            router.unpin(snapshot.seq)
-        stats = router.pool.transport_stats()
-        status = router.pool.worker_status()
-    finally:
-        router.stop()
-    assert stats["pickle_replies"] > 0
-    assert any(w.get("ring_fallbacks", 0) > 0 for w in status)
-    reference = SimilarityEngine(graph, CONFIG)
-    expected = reference.columns(list(range(6)))
-    for q, col in expected.items():
-        assert np.allclose(np.asarray(columns[q]), col)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +82,12 @@ def test_run_tasks_matches_engine_and_isolates_bad_tasks():
     assert results[3][0] == "top_k"
 
 
-def test_worker_topk_ties_match_parent_selection():
-    """compute_tasks through real workers reproduces the parent's
+def test_shard_topk_ties_match_parent_selection():
+    """compute_tasks through the workers reproduces the broker's
     exact tie-break (argpartition + lexsort) on a tie-heavy graph."""
     graph = tie_heavy_graph()
     snapshots = SnapshotManager(graph, CONFIG)
-    router = ShardRouter(WorkerPool(workers=2), snapshots)
+    router = ShardRouter(ThreadWorkerPool(workers=2), snapshots)
     router.start()
     try:
         snapshot = router.pin()
@@ -330,13 +110,12 @@ def test_worker_topk_ties_match_parent_selection():
         assert list(item[2]) == pytest.approx(expected.scores)
 
 
-@pytest.mark.parametrize("backend", ["process", "thread"])
-def test_service_worker_topk_matches_inprocess(backend):
+def test_service_shard_topk_matches_inprocess():
     graph = tie_heavy_graph()
 
     async def run():
         async with ServingService(
-            graph, CONFIG, workers=2, backend=backend,
+            graph, CONFIG, workers=2,
             cache_entries=0, telemetry=False,
         ) as svc:
             rankings = await asyncio.gather(
@@ -379,15 +158,14 @@ def test_service_bad_k_fails_only_its_own_request():
 
 
 # ---------------------------------------------------------------------------
-# thread backend
+# the thread pool
 # ---------------------------------------------------------------------------
 class TestThreadBackend:
-    def test_pool_duck_types_and_rejects_chaos(self):
+    def test_pool_is_inert_and_rejects_chaos_before_start(self):
         pool = ThreadWorkerPool(workers=3)
-        assert pool.backend == "thread"
-        assert pool.persists_index is False
         assert pool.size == 3
-        with pytest.raises(ClusterError, match="process"):
+        assert not pool.started
+        with pytest.raises(ClusterError, match="not started"):
             pool.kill_worker(0)
 
     def test_router_parity_and_describe(self):
@@ -422,16 +200,16 @@ class TestThreadBackend:
         assert list(task_results[0][1]) == ranked.nodes
         assert task_results[1][0] == "score"
         pool_doc = description["pool"]
-        assert pool_doc["backend"] == "thread"
-        assert pool_doc["transport"]["mode"] == "inproc"
-        assert pool_doc["transport"]["transport_bytes"] == 0
+        assert pool_doc["workers"] == 3
+        assert pool_doc["generations"] == [0]
+        assert len(description["worker_status"]) == 3
 
     def test_service_mutation_swaps_through_thread_pool(self):
         graph = random_digraph(60, 240, seed=13)
 
         async def run():
             async with ServingService(
-                graph, CONFIG, workers=2, backend="thread",
+                graph, CONFIG, workers=2,
                 cache_entries=0, telemetry=False,
             ) as svc:
                 before = await svc.top_k(0, k=3)
@@ -447,11 +225,10 @@ class TestThreadBackend:
         assert status["snapshots"]["swaps"] >= 1
         assert status["cluster"]["pool"]["current_seq"] >= 1
 
-    def test_service_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
+    def test_service_rejects_negative_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
             ServingService(
-                random_digraph(20, 60, seed=1), CONFIG,
-                workers=1, backend="fiber",
+                random_digraph(20, 60, seed=1), CONFIG, workers=-1
             )
 
 
@@ -465,7 +242,7 @@ class TestSplitBalance:
     )
     def test_split_never_empty_never_lopsided(self, workers, batch):
         router = ShardRouter(
-            WorkerPool(workers=workers),
+            ThreadWorkerPool(workers=workers),
             SnapshotManager(
                 random_digraph(10, 30, seed=1), CONFIG
             ),

@@ -14,16 +14,15 @@ Two parts:
 
 * :class:`ThreadWorkerPool` — the K per-thread engines, one per live
   snapshot *generation*; runs the two-phase hot-swap (``prepare``
-  everywhere first, then ``commit``), rebuilds a crashed worker from
-  the recorded generations, and exposes the chaos hooks the guard
-  drills use.
+  everywhere first, then ``commit``).
 * :class:`ShardRouter` — splits each coalesced micro-batch into
   per-worker shards, dispatches them concurrently, merges the
   results, and owns the atomic snapshot *pinning* that lets mutations
   hot-swap mid-traffic with zero failed requests. Top-k selection
   runs inside the shard (:meth:`ShardRouter.compute_tasks` with
   :func:`run_tasks`), so only ``(k, B)`` ids and scores come back
-  instead of ``(n, B)`` score blocks.
+  instead of ``(n, B)`` score blocks. Each shard runs once: an
+  exception in a shard fails its batch, with no in-process retry.
 
 Wired into the serving layer as ``ServingService(graph, workers=K)``
 and ``python -m repro.serve serve --workers K``; scaling is measured
@@ -54,7 +53,6 @@ from repro.cluster.router import ShardRouter
 from repro.cluster.thread_pool import (
     ClusterError,
     ThreadWorkerPool,
-    WorkerCrash,
     run_tasks,
 )
 
@@ -62,6 +60,5 @@ __all__ = [
     "ClusterError",
     "ShardRouter",
     "ThreadWorkerPool",
-    "WorkerCrash",
     "run_tasks",
 ]

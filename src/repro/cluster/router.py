@@ -18,14 +18,10 @@ workers only once its in-flight count drains to zero. A batch
 therefore always computes against the exact generation it pinned —
 never a mix, never a dropped request.
 
-Worker failure is handled below the caller's line of sight: a shard
-whose worker crashed (or hung past the pool's ``shard_timeout``)
-respawns the worker — replaying every live generation — and retries,
-up to ``max_retries`` per shard. Repeated failures trip that worker's
-circuit breaker (a :class:`~repro.serve.guard.BreakerBoard`): while
-open, shards bound for it are served by a fallback engine (the pinned
-snapshot's own engine) instead of queueing behind a sick worker, and
-a half-open probe after the cooldown restores it.
+Each shard is dispatched once. Workers are threads in this process
+running a deterministic kernel, so there is no in-process retry: an
+exception in a shard fails its batch, and the broker answers every
+request of that batch with the error.
 """
 
 from __future__ import annotations
@@ -34,12 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cluster.thread_pool import (
-    ClusterError,
-    ThreadWorkerPool,
-    WorkerCrash,
-    run_tasks,
-)
+from repro.cluster.thread_pool import ClusterError, ThreadWorkerPool
 
 __all__ = ["ShardRouter"]
 
@@ -56,9 +47,6 @@ class ShardRouter:
         ``current`` snapshot is what :meth:`pin` pins, and its
         hot-swap hooks should point at :meth:`pre_swap` /
         :meth:`post_swap`.
-    max_retries:
-        Dispatch attempts per shard beyond the first (each retry
-        respawns the shard's worker first).
     obs:
         Optional :class:`~repro.obs.Observability`; when set, each
         shard's round-trip is observed into the
@@ -84,16 +72,10 @@ class ShardRouter:
         pool: ThreadWorkerPool,
         snapshots,
         *,
-        max_retries: int = 2,
         obs=None,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 5.0,
     ) -> None:
-        from repro.serve.guard import BreakerBoard
-
         self.pool = pool
         self.snapshots = snapshots
-        self.max_retries = int(max_retries)
         self.obs = obs
         self._lock = threading.Lock()   # pins + retirement
         self._inflight: dict[int, int] = {}
@@ -101,16 +83,6 @@ class ShardRouter:
         self._executor: ThreadPoolExecutor | None = None
         self.batches_routed = 0
         self.shards_dispatched = 0
-        self.shard_retries = 0
-        #: per-worker circuit breakers around shard dispatch
-        self.breakers = BreakerBoard(
-            pool.size,
-            threshold=breaker_threshold,
-            cooldown_s=breaker_cooldown_s,
-        )
-        # seq -> Snapshot for every generation a batch may pin: the
-        # fallback engine an open breaker serves from
-        self._fallback_snapshots: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -155,23 +127,6 @@ class ShardRouter:
             self._inflight[snapshot.seq] = (
                 self._inflight.get(snapshot.seq, 0) + 1
             )
-            self._fallback_snapshots[snapshot.seq] = snapshot
-            return snapshot
-
-    def pin_snapshot(self, snapshot):
-        """Pin a *specific* snapshot (the canary green generation).
-
-        Same in-flight accounting as :meth:`pin`, but for a snapshot
-        that is deliberately not ``snapshots.current`` — blue-green
-        serving reads old and new generations side by side. The
-        caller must have had the generation prepared on the workers
-        first (:meth:`prepare_generation`).
-        """
-        with self._lock:
-            self._inflight[snapshot.seq] = (
-                self._inflight.get(snapshot.seq, 0) + 1
-            )
-            self._fallback_snapshots[snapshot.seq] = snapshot
             return snapshot
 
     def unpin(self, seq: int) -> None:
@@ -185,7 +140,6 @@ class ShardRouter:
             release = seq in self._retired
             if release:
                 self._retired.discard(seq)
-                self._fallback_snapshots.pop(seq, None)
         if release:
             self.pool.release(seq)
 
@@ -198,35 +152,6 @@ class ShardRouter:
         """
         if self.started:
             self.pool.prepare(snapshot)
-
-    def prepare_generation(self, snapshot) -> None:
-        """Prepare a generation that is not (yet) ``current``.
-
-        The blue-green path: the green candidate must be servable by
-        every worker — and by the fallback engine — while blue is
-        still the current snapshot.
-        """
-        if self.started:
-            self.pool.prepare(snapshot)
-        with self._lock:
-            self._fallback_snapshots[snapshot.seq] = snapshot
-
-    def abort_prepared(self, snapshot) -> None:
-        """Drop a prepared-but-rejected generation (canary rollback).
-
-        Respects pinning: a green batch still in flight keeps its
-        generation alive until its last unpin, exactly like a
-        retired generation after a normal swap.
-        """
-        seq = snapshot.seq
-        with self._lock:
-            if self._inflight.get(seq, 0) > 0:
-                self._retired.add(seq)  # released on last unpin
-                return
-            self._retired.discard(seq)
-            self._fallback_snapshots.pop(seq, None)
-        if self.started:
-            self.pool.release(seq)
 
     def post_swap(self, old, new) -> None:
         """Hot-swap phase two: commit ``new``, retire older gens."""
@@ -244,7 +169,6 @@ class ShardRouter:
                     self._retired.add(seq)  # released on last unpin
                 else:
                     self._retired.discard(seq)
-                    self._fallback_snapshots.pop(seq, None)
                     to_release.append(seq)
         for seq in to_release:
             self.pool.release(seq)
@@ -281,8 +205,8 @@ class ShardRouter:
         The selection twin of :meth:`compute`: each task (see
         :func:`~repro.cluster.run_tasks`) is answered with a compact
         ``("top_k", nodes, scores)`` / ``("score", value)`` tuple, one
-        per task, in task order. Sharding, the round-robin offset,
-        retry, and ``meta`` telemetry all match :meth:`compute`.
+        per task, in task order. Sharding, the round-robin offset
+        and ``meta`` telemetry all match :meth:`compute`.
         """
         parts = self._fan_out(seq, list(tasks), meta, op="tasks")
         return [result for part in parts for result in part]
@@ -326,8 +250,8 @@ class ShardRouter:
                 errors.append(exc)
         if errors:
             raise ClusterError(
-                f"{len(errors)} of {len(shards)} shards failed "
-                f"after retries: {errors[0]}"
+                f"{len(errors)} of {len(shards)} shards failed: "
+                f"{errors[0]}"
             ) from errors[0]
         return parts
 
@@ -362,99 +286,25 @@ class ShardRouter:
         *,
         op: str = "columns",
     ):
-        """One shard on one worker: breaker, respawn-and-retry, fallback."""
+        """One shard on one worker's engine, timed."""
         with self._lock:  # shard threads run concurrently
             self.shards_dispatched += 1
-        if not self.breakers.allow(worker_index):
-            # circuit open: don't queue behind a sick worker — the
-            # snapshot's own engine for this generation answers instead
-            return self._fallback_shard(
-                worker_index, seq, shard, meta, op=op
-            )
         dispatch = (
             self.pool.shard_tasks if op == "tasks" else self.pool.shard
         )
-        attempts = self.max_retries + 1
-        for attempt in range(attempts):
-            try:
-                t0 = time.perf_counter()
-                result = dispatch(worker_index, seq, shard)
-                elapsed = time.perf_counter() - t0
-                self.breakers.record_success(worker_index)
-                if self.obs is not None and self.obs.enabled:
-                    self.obs.shard_dispatch.labels(
-                        worker=str(worker_index)
-                    ).observe(elapsed)
-                if meta is not None:
-                    row = {
-                        "worker": worker_index,
-                        "ids": len(shard),
-                        "seconds": elapsed,
-                        "start_s": t0,
-                    }
-                    with self._lock:
-                        meta["shards"].append(row)
-                return result
-            except WorkerCrash:
-                opened = self.breakers.record_failure(worker_index)
-                if opened:
-                    # the breaker just tripped: heal the worker now so
-                    # the half-open probe after the cooldown meets a
-                    # fresh worker, and serve this shard from the
-                    # fallback engine
-                    try:
-                        self.pool.respawn(worker_index)
-                    except Exception:  # noqa: BLE001 - best effort
-                        pass
-                    return self._fallback_shard(
-                        worker_index, seq, shard, meta, op=op
-                    )
-                if attempt == attempts - 1:
-                    raise
-                with self._lock:
-                    self.shard_retries += 1
-                self.pool.respawn(worker_index)
-        raise AssertionError("unreachable")
-
-    def _fallback_shard(
-        self,
-        worker_index: int,
-        seq: int,
-        shard: list,
-        meta: dict | None = None,
-        *,
-        op: str = "columns",
-    ):
-        """Serve one shard from the pinned snapshot's own engine.
-
-        The open-breaker degraded mode: correctness is identical (the
-        fallback engine is the exact pinned snapshot the batch would
-        have computed against worker-side), only the worker's engine
-        is bypassed while it heals.
-        """
-        with self._lock:
-            snapshot = self._fallback_snapshots.get(seq)
-        if snapshot is None:
-            raise WorkerCrash(
-                f"worker {worker_index} circuit open and no "
-                f"fallback engine for generation {seq}"
-            )
-        self.breakers.record_fallback()
         t0 = time.perf_counter()
-        if op == "tasks":
-            result, _ = run_tasks(snapshot.engine, shard)
-        else:
-            columns = snapshot.engine.columns(
-                [int(q) for q in shard]
-            )
-            result = {int(q): columns[int(q)] for q in shard}
+        result = dispatch(worker_index, seq, shard)
+        elapsed = time.perf_counter() - t0
+        if self.obs is not None and self.obs.enabled:
+            self.obs.shard_dispatch.labels(
+                worker=str(worker_index)
+            ).observe(elapsed)
         if meta is not None:
             row = {
                 "worker": worker_index,
                 "ids": len(shard),
-                "seconds": time.perf_counter() - t0,
+                "seconds": elapsed,
                 "start_s": t0,
-                "fallback": True,
             }
             with self._lock:
                 meta["shards"].append(row)
@@ -491,9 +341,7 @@ class ShardRouter:
             "pool": self.pool.describe(),
             "batches_routed": self.batches_routed,
             "shards_dispatched": self.shards_dispatched,
-            "shard_retries": self.shard_retries,
             "inflight": inflight,
-            "breaker": self.breakers.describe(),
         }
         if self.started:
             out["worker_status"] = self.pool.worker_status()

@@ -7,13 +7,7 @@ parallelises query columns with no transport at all: a "shard" call
 runs directly on the router's dispatch thread and returns the
 engine's own arrays.
 
-The chaos hooks (``kill_worker`` / ``hang_worker`` /
-``corrupt_next_reply``) act at the dispatch contract: a "killed"
-worker forgets its generations (the next shard raises
-:class:`WorkerCrash`), a "hung" one sleeps out ``shard_timeout``
-before crashing, a "corrupted" reply crashes immediately — which is
-what the router's respawn-and-retry and the circuit breaker recover
-from. Each worker owns a :class:`~repro.obs.MetricsRegistry`, so the
+Each worker owns a :class:`~repro.obs.MetricsRegistry`, so the
 ``repro_shard_dispatch_seconds`` vs ``repro_worker_compute_seconds``
 split and :meth:`ShardRouter.collect_worker_metrics
 <repro.cluster.ShardRouter.collect_worker_metrics>` report per-worker
@@ -23,7 +17,7 @@ series.
 from __future__ import annotations
 
 import threading
-from time import perf_counter, sleep
+from time import perf_counter
 from typing import Any
 
 import numpy as np
@@ -31,7 +25,6 @@ import numpy as np
 __all__ = [
     "ClusterError",
     "ThreadWorkerPool",
-    "WorkerCrash",
     "run_tasks",
 ]
 
@@ -39,24 +32,11 @@ __all__ = [
 class ClusterError(RuntimeError):
     """A cluster-level operation failed (prepare, dispatch, ...).
 
-    >>> from repro.cluster import ClusterError, WorkerCrash
-    >>> issubclass(WorkerCrash, ClusterError)
-    True
-    """
-
-
-class WorkerCrash(ClusterError):
-    """One worker died or hung while holding a shard.
-
-    Raised by :meth:`ThreadWorkerPool.shard` so the router can respawn
-    the worker and retry — callers of the serving API never see it
-    unless the retry budget is exhausted.
-
-    >>> from repro.cluster import WorkerCrash
-    >>> raise WorkerCrash("worker 2 died mid-shard")
+    >>> from repro.cluster import ClusterError
+    >>> raise ClusterError("router not started")
     Traceback (most recent call last):
         ...
-    repro.cluster.thread_pool.WorkerCrash: worker 2 died mid-shard
+    repro.cluster.thread_pool.ClusterError: router not started
     """
 
 
@@ -133,8 +113,8 @@ class _ThreadWorker:
 
     __slots__ = (
         "index", "engines", "registry", "m_shards", "m_columns",
-        "m_compute", "shards_served", "respawns", "columns_served",
-        "tasks_served", "lock", "hang_until", "corrupt_next",
+        "m_compute", "shards_served", "columns_served",
+        "tasks_served", "lock",
     )
 
     def __init__(self, index: int) -> None:
@@ -143,11 +123,8 @@ class _ThreadWorker:
         self.index = index
         self.engines: dict[int, Any] = {}
         self.shards_served = 0
-        self.respawns = 0
         self.columns_served = 0
         self.tasks_served = 0
-        self.hang_until = 0.0
-        self.corrupt_next = False
         self.lock = threading.Lock()
         self.registry = MetricsRegistry()
         self.m_shards = self.registry.counter(
@@ -193,20 +170,13 @@ class ThreadWorkerPool:
     (4, False)
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int = 2,
-        shard_timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, *, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.size = int(workers)
-        self.shard_timeout = float(shard_timeout)
         self._workers: list[_ThreadWorker] = []
-        # seq -> (exported index, graph, config): what a respawn
-        # rebuilds engines from without touching the snapshot manager
-        self._sources: dict[int, tuple] = {}
+        # the generations every worker holds an engine for
+        self._generations: set[int] = set()
         self._lock = threading.Lock()
         self.current_seq = -1
         self.started = False
@@ -232,7 +202,7 @@ class ThreadWorkerPool:
         for worker in self._workers:
             worker.engines.clear()
         with self._lock:
-            self._sources.clear()
+            self._generations.clear()
         self.current_seq = -1
 
     @staticmethod
@@ -251,7 +221,7 @@ class ThreadWorkerPool:
         arrays (transition CSR, factors, walk segments) and keeps only
         the column memo private. All engines are built before any is
         registered, so a failed adoption leaves no trace of the
-        generation — a later respawn never replays it.
+        generation.
         """
         if not self.started:
             return
@@ -262,7 +232,7 @@ class ThreadWorkerPool:
         )
         engines = [self._adopt(source) for _ in self._workers]
         with self._lock:
-            self._sources[snapshot.seq] = source
+            self._generations.add(snapshot.seq)
         for worker, engine in zip(self._workers, engines):
             worker.engines[snapshot.seq] = engine
 
@@ -274,86 +244,23 @@ class ThreadWorkerPool:
     def release(self, seq: int) -> None:
         """Drop generation ``seq`` everywhere (synchronous, cheap)."""
         with self._lock:
-            dropped = self._sources.pop(seq, None) is not None
+            dropped = seq in self._generations
+            self._generations.discard(seq)
         for worker in self._workers:
             worker.engines.pop(seq, None)
         if dropped:
             self.releases += 1
 
-    def respawn(self, worker_index: int) -> None:
-        """Rebuild one worker's engines from the recorded sources."""
-        if not self.started:
-            raise ClusterError(
-                "pool is stopped; refusing to respawn a worker"
-            )
-        worker = self._workers[worker_index]
-        with self._lock:
-            sources = dict(self._sources)
-        worker.engines = {
-            seq: self._adopt(source)
-            for seq, source in sorted(sources.items())
-        }
-        worker.respawns += 1
-
-    def kill_worker(self, worker_index: int) -> None:
-        """Crash one worker (chaos hook).
-
-        The worker forgets every generation, and the next shard routed
-        at it raises :class:`~repro.cluster.WorkerCrash` — recovered by
-        the router's respawn-and-retry.
-        """
-        if not self.started:
-            raise ClusterError("pool not started")
-        self._workers[worker_index].engines = {}
-
-    def hang_worker(self, worker_index: int, seconds: float) -> None:
-        """Wedge one worker for ``seconds`` (chaos hook).
-
-        The next shard routed at the worker sleeps: if the hang
-        outlives ``shard_timeout`` it raises
-        :class:`~repro.cluster.WorkerCrash` after the timeout; a
-        shorter hang just delays the shard.
-        """
-        if not self.started:
-            raise ClusterError("pool not started")
-        worker = self._workers[worker_index]
-        worker.hang_until = perf_counter() + float(seconds)
-
-    def corrupt_next_reply(self, worker_index: int) -> None:
-        """Poison one worker's next shard reply (chaos hook).
-
-        The next shard raises :class:`~repro.cluster.WorkerCrash`
-        immediately.
-        """
-        if not self.started:
-            raise ClusterError("pool not started")
-        self._workers[worker_index].corrupt_next = True
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _engine(self, worker: _ThreadWorker, seq: int):
-        if worker.corrupt_next:
-            worker.corrupt_next = False
-            raise WorkerCrash(
-                f"worker {worker.index} returned a corrupted reply "
-                "(chaos hook)"
-            )
-        if worker.hang_until:
-            remaining = worker.hang_until - perf_counter()
-            if remaining >= self.shard_timeout:
-                sleep(self.shard_timeout)
-                worker.hang_until = 0.0
-                raise WorkerCrash(
-                    f"worker {worker.index} hung past shard_timeout "
-                    f"{self.shard_timeout}s (chaos hook)"
-                )
-            if remaining > 0:
-                sleep(remaining)
-            worker.hang_until = 0.0
+    @staticmethod
+    def _engine(worker: _ThreadWorker, seq: int):
         engine = worker.engines.get(seq)
         if engine is None:
-            raise WorkerCrash(
+            # the router pins every generation it dispatches against,
+            # so a missing one is a bug, not a fault to recover from
+            raise ClusterError(
                 f"worker {worker.index} holds no generation {seq} "
                 f"(live: {sorted(worker.engines)})"
             )
@@ -405,7 +312,6 @@ class ThreadWorkerPool:
                 "index": worker.index,
                 "alive": self.started,
                 "shards_served": worker.shards_served,
-                "respawns": worker.respawns,
                 "current_seq": self.current_seq,
                 "generations": sorted(worker.engines),
                 "columns_served": worker.columns_served,
@@ -419,14 +325,13 @@ class ThreadWorkerPool:
     def describe(self) -> dict:
         """JSON-ready pool state."""
         with self._lock:
-            generations = sorted(self._sources)
+            generations = sorted(self._generations)
         return {
             "workers": self.size,
             "started": self.started,
             "current_seq": self.current_seq,
             "generations": generations,
             "releases": self.releases,
-            "respawns": sum(w.respawns for w in self._workers),
         }
 
     def __repr__(self) -> str:

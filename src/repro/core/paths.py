@@ -120,8 +120,13 @@ def symmetric_inlink_path_exists(
 
     Computed as the fixpoint of ``R <- R | (A^T R A > 0)`` from
     ``R = I``: one step extends every equidistant pair by one hop on
-    both sides. ``max_depth`` caps the iteration (defaults to ``n``,
-    which is always enough on acyclic graphs and safe elsewhere).
+    both sides. ``max_depth`` caps the iteration. The default, ``n * n``
+    (the number of pair states), always reaches the fixpoint; the loop
+    stops as soon as a step adds nothing. A cap of ``n`` is enough on
+    acyclic graphs but not on cyclic ones, where the shortest
+    equal-length pair path can be longer than ``n``: on the 6-node
+    graph with edges ``0->1, 0->4, 1->0, 2->3, 2->5, 3->1, 4->2`` the
+    pair ``(2, 3)`` first appears at depth 7.
     """
     n = graph.num_nodes
     if n == 0:
@@ -129,7 +134,7 @@ def symmetric_inlink_path_exists(
     a = adjacency_matrix(graph)
     at = a.T.tocsr()
     reach = np.eye(n, dtype=bool)
-    limit = n if max_depth is None else max_depth
+    limit = n * n if max_depth is None else max_depth
     for _ in range(limit):
         stepped = (at @ (reach.astype(np.float64) @ a)) > 0
         merged = reach | stepped

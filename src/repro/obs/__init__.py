@@ -305,23 +305,6 @@ class Observability:
             "Requests waiting in the broker's admission queue.",
             lambda: broker.queue_depth,
         )
-        registry.gauge_fn(
-            "repro_canary_active",
-            "1 while a blue-green canary is receiving traffic.",
-            lambda: 1.0 if broker.canary is not None else 0.0,
-        )
-        registry.gauge_fn(
-            "repro_canary_error_delta",
-            "Green error rate minus blue error rate for the most "
-            "recent canary (0 before the first canary).",
-            lambda: self._canary_error_delta(service),
-        )
-        registry.gauge_fn(
-            "repro_canary_p95_ratio",
-            "Green p95 latency over blue p95 for the most recent "
-            "canary (0 before the first canary).",
-            lambda: self._canary_p95_ratio(service),
-        )
         if service.cache is not None:
             cache = service.cache
             for field, help_text in (
@@ -425,8 +408,6 @@ class Observability:
             for field, help_text in (
                 ("batches_routed", "Micro-batches routed to shards."),
                 ("shards_dispatched", "Shards dispatched to workers."),
-                ("shard_retries",
-                 "Shards retried after a worker crash/hang."),
             ):
                 registry.counter_fn(
                     f"repro_cluster_{field}_total",
@@ -439,43 +420,9 @@ class Observability:
                 lambda: router.pool.size,
             )
             registry.counter_fn(
-                "repro_cluster_respawns_total",
-                "Workers respawned after a crash or hang.",
-                lambda: sum(
-                    w.respawns for w in router.pool._workers
-                ),
-            )
-            registry.counter_fn(
                 "repro_cluster_releases_total",
                 "Generations released after draining.",
                 lambda: router.pool.releases,
-            )
-            breakers = router.breakers
-            for field, help_text in (
-                ("trips",
-                 "Circuit-breaker transitions to open (worker "
-                 "quarantined, shards answered by the fallback "
-                 "engine)."),
-                ("restores",
-                 "Circuit-breaker half-open probes that closed the "
-                 "breaker again."),
-                ("fallbacks",
-                 "Shards answered by the fallback engine "
-                 "while a breaker was open."),
-            ):
-                registry.counter_fn(
-                    f"repro_breaker_{field}_total",
-                    help_text,
-                    (lambda f=field: getattr(breakers, f)),
-                )
-            registry.gauge_fn(
-                "repro_breaker_state",
-                "Per-worker circuit-breaker state "
-                "(0=closed, 1=half_open, 2=open).",
-                lambda: [
-                    ({"worker": str(i)}, value)
-                    for i, value in breakers.values()
-                ],
             )
         started = time.monotonic()
         registry.gauge_fn(
@@ -483,21 +430,6 @@ class Observability:
             "Seconds since this service registered its metrics.",
             lambda: time.monotonic() - started,
         )
-
-    @staticmethod
-    def _canary_error_delta(service) -> float:
-        canary = getattr(service, "_last_canary", None)
-        if canary is None:
-            return 0.0
-        return canary.error_rate("green") - canary.error_rate("blue")
-
-    @staticmethod
-    def _canary_p95_ratio(service) -> float:
-        canary = getattr(service, "_last_canary", None)
-        if canary is None:
-            return 0.0
-        blue = canary.p95("blue")
-        return canary.p95("green") / blue if blue else 0.0
 
     @staticmethod
     def _approx_samples(snapshots):

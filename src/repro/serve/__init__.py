@@ -23,20 +23,16 @@ into the batched workloads the blocked kernel (PR 2) is fast at:
   usable async-natively or from sync threads via a private
   background event loop. ``ServingService(graph, workers=K)`` scales
   out: batches are sharded across a :mod:`repro.cluster` pool of
-  worker threads sharing one in-memory index.
+  worker threads sharing one in-memory index. A mutation is always
+  the plain two-phase swap; an exception in a shard fails its
+  batch, with no in-process retry.
 * :func:`serve_http` / :class:`SimilarityHTTPServer` — a stdlib
   HTTP/JSON front end; ``python -m repro.serve`` is the CLI
-  (``serve`` / ``warmup`` / ``status`` / ``smoke`` / ``chaos``).
-* :mod:`repro.serve.guard` — the overload-protection layer threaded
+  (``serve`` / ``warmup`` / ``status`` / ``metrics`` / ``smoke``).
+* :mod:`repro.serve.guard` — the two overload results threaded
   through all of the above: bounded-admission load shedding
-  (:class:`Overloaded` → HTTP 429), per-request deadlines
-  (:class:`DeadlineExceeded` → HTTP 504), a per-worker
-  :class:`CircuitBreaker` board quarantining crash-looping workers
-  behind an in-process fallback, and blue-green :class:`Canary`
-  snapshot swaps with automatic promote/rollback. The scripted
-  chaos drill (``python -m repro.serve chaos``,
-  :mod:`repro.serve.chaos`) proves the stack sheds instead of
-  collapsing.
+  (:class:`Overloaded` → HTTP 429) and per-request deadlines
+  (:class:`DeadlineExceeded` → HTTP 504).
 
 Quick taste::
 
@@ -50,13 +46,7 @@ Quick taste::
 
 from repro.serve.broker import BrokerStats, QueryBroker
 from repro.serve.cache import CacheStats, ResultCache
-from repro.serve.guard import (
-    BreakerBoard,
-    Canary,
-    CircuitBreaker,
-    DeadlineExceeded,
-    Overloaded,
-)
+from repro.serve.guard import DeadlineExceeded, Overloaded
 from repro.serve.http import (
     SimilarityHTTPServer,
     ranking_to_dict,
@@ -66,11 +56,8 @@ from repro.serve.service import ServingService
 from repro.serve.snapshot import Snapshot, SnapshotManager
 
 __all__ = [
-    "BreakerBoard",
     "BrokerStats",
     "CacheStats",
-    "Canary",
-    "CircuitBreaker",
     "DeadlineExceeded",
     "Overloaded",
     "QueryBroker",

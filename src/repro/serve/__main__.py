@@ -23,12 +23,6 @@ Subcommands::
              swapped through the O(delta) incremental path; the run
              also scrapes ``/metrics`` mid-load and asserts the
              exported counters agree with the broker's stats
-    chaos    scripted chaos drill (repro.serve.chaos): kill, hang,
-             and corrupt workers under client load, then force a bad
-             blue-green canary; asserts zero unaccounted requests,
-             bounded p99, breaker trip->recover transitions, and
-             canary auto-rollback; writes the report JSON and the
-             breaker-transition JSONL (the CI artifacts)
 
 Examples::
 
@@ -42,7 +36,6 @@ Examples::
     python -m repro.serve smoke --clients 64 --output smoke.json
     python -m repro.serve smoke --workers 2 --mutate-mid-run
     python -m repro.serve smoke --workers 2 --mutate-stream 6
-    python -m repro.serve chaos --workers 2 --clients 32
 
 Every subcommand and flag is documented in ``docs/operations.md``
 (cross-checked against these parsers by ``tests/test_docs.py``).
@@ -124,11 +117,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "snapshot engine (default)",
     )
     parser.add_argument(
-        "--shard-timeout", type=float, default=120.0,
-        help="seconds before a hung worker's shard is declared "
-        "crashed and retried (cluster mode only; default 120)",
-    )
-    parser.add_argument(
         "--delta-mode", choices=("auto", "off"), default="auto",
         help="incremental index maintenance: 'auto' (default) applies "
         "small edge batches as O(delta) artifact surgery "
@@ -157,23 +145,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "this budget fails with HTTP 504 without poisoning its "
         "micro-batch; per-request 'deadline_ms' overrides it "
         "(default 0 = no deadline)",
-    )
-    parser.add_argument(
-        "--breaker-threshold", type=int, default=5,
-        help="circuit breaker: consecutive crashes/timeouts before a "
-        "worker's breaker opens and its shards are answered by the "
-        "snapshot's own engine (cluster mode; default 5)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown-s", type=float, default=5.0,
-        help="seconds an open breaker waits before a half-open "
-        "probe may restore the worker (default 5.0)",
-    )
-    parser.add_argument(
-        "--canary-fraction", type=float, default=0.1,
-        help="blue-green mutations (POST /mutate with "
-        "'canary': true): fraction of traffic routed to the new "
-        "snapshot while it proves itself (default 0.1)",
     )
     parser.add_argument(
         "--no-telemetry", action="store_true",
@@ -207,15 +178,11 @@ def _build_service(args) -> ServingService:
         cache_entries=args.cache_entries,
         index_path=getattr(args, "index", None),
         workers=args.workers,
-        shard_timeout=args.shard_timeout,
         delta_mode=args.delta_mode,
         max_delta_fraction=args.max_delta_fraction,
         max_chain_depth=args.max_chain_depth,
         max_queue_depth=args.max_queue_depth,
         default_deadline_ms=args.default_deadline_ms,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown_s,
-        canary_fraction=args.canary_fraction,
         telemetry=not args.no_telemetry,
         slow_query_ms=(
             None if args.slow_query_ms < 0 else args.slow_query_ms
@@ -354,62 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     smoke.set_defaults(nodes=800, edges=4800)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="scripted chaos drill (the chaos-drill CI job): kill, "
-        "hang, and corrupt workers under client load, then force a "
-        "bad blue-green canary; assert zero unaccounted requests, "
-        "bounded p99, breaker trip->recover, and canary "
-        "auto-rollback",
-    )
-    chaos.add_argument(
-        "--workers", type=_count(1), default=2,
-        help="workers in the attacked pool (default 2)",
-    )
-    chaos.add_argument(
-        "--clients", type=int, default=16,
-        help="concurrent HTTP clients per wave (default 16)",
-    )
-    chaos.add_argument(
-        "--requests-per-client", type=int, default=4,
-        help="queries each client issues per wave (default 4)",
-    )
-    chaos.add_argument(
-        "--nodes", type=int, default=300,
-        help="random-graph nodes (default 300)",
-    )
-    chaos.add_argument(
-        "--edges", type=int, default=1800,
-        help="random-graph edges (default 1800)",
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=7,
-        help="graph + query-stream seed (default 7)",
-    )
-    chaos.add_argument(
-        "--shard-timeout", type=float, default=1.0,
-        help="seconds before a hung worker is declared dead "
-        "(default 1.0 — short, so the hang wave recovers quickly)",
-    )
-    chaos.add_argument(
-        "--breaker-cooldown-s", type=float, default=0.4,
-        help="breaker cooldown before the half-open probe "
-        "(default 0.4)",
-    )
-    chaos.add_argument(
-        "--p99-budget-ms", type=float, default=30000.0,
-        help="p99 latency bound the drill asserts (default 30000)",
-    )
-    chaos.add_argument(
-        "--output", default="SERVE_chaos.json",
-        help="drill report path (default SERVE_chaos.json)",
-    )
-    chaos.add_argument(
-        "--transitions", default="SERVE_chaos_transitions.jsonl",
-        metavar="PATH",
-        help="breaker-transition JSONL artifact path "
-        "(default SERVE_chaos_transitions.jsonl)",
-    )
     return parser
 
 
@@ -556,9 +467,7 @@ def render_status(document: dict) -> str:
             f"cluster       workers={pool.get('workers', 0)} "
             f"(alive={alive}) "
             f"seq={pool.get('current_seq', 0)} "
-            f"shards={cluster.get('shards_dispatched', 0)} "
-            f"retries={cluster.get('shard_retries', 0)} "
-            f"respawns={pool.get('respawns', 0)}"
+            f"shards={cluster.get('shards_dispatched', 0)}"
         )
     else:
         lines.append("cluster       in-process (workers=0)")
@@ -580,35 +489,6 @@ def render_status(document: dict) -> str:
             f"deadline_ms={guard.get('default_deadline_ms', 0.0):g} "
             f"deadline_expired={guard.get('deadline_expired', 0)}"
         )
-        breaker = guard.get("breaker") or {}
-        if breaker:
-            states = breaker.get("states", {})
-            lines.append(
-                f"breaker       threshold={breaker.get('threshold')} "
-                f"cooldown={breaker.get('cooldown_s')}s "
-                f"trips={breaker.get('trips', 0)} "
-                f"restores={breaker.get('restores', 0)} "
-                f"fallbacks={breaker.get('fallbacks', 0)} states="
-                + ",".join(
-                    f"{w}:{s}" for w, s in sorted(states.items())
-                )
-            )
-        canary = guard.get("canary")
-        if canary:
-            counts = canary.get("counts", {})
-            green = counts.get("green", {})
-            error_rate = canary.get("error_rate", {})
-            p95_ms = canary.get("p95_ms", {})
-            lines.append(
-                f"canary        outcome="
-                f"{canary.get('outcome') or 'in-flight'} "
-                f"fraction={canary.get('fraction')} "
-                f"green ok={green.get('ok', 0)} "
-                f"errors={green.get('errors', 0)} "
-                f"error_delta="
-                f"{error_rate.get('green', 0.0) - error_rate.get('blue', 0.0):+.3f} "
-                f"green_p95={p95_ms.get('green', 0.0):.1f}ms"
-            )
     obs = document.get("observability") or {}
     if obs.get("enabled"):
         tracing = obs.get("tracing", {})
@@ -652,7 +532,7 @@ def _cmd_metrics(args) -> int:
 
 
 def smoke_exit_code(checks: dict, failures: list) -> int:
-    """Exit code for a smoke/chaos run: 0 only when *everything* held.
+    """Exit code for a smoke run: 0 only when *everything* held.
 
     A non-empty ``failures`` list fails the run even if every named
     check passed — per-request errors must never be summarised away
@@ -899,54 +779,6 @@ def _cmd_smoke(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.serve.chaos import run_drill
-
-    print(
-        f"chaos drill: {args.workers} workers, "
-        f"{args.clients} clients x {args.requests_per_client} "
-        "requests per wave (kill / hang / corrupt / bad green)",
-        flush=True,
-    )
-    report = run_drill(
-        workers=args.workers,
-        clients=args.clients,
-        requests_per_client=args.requests_per_client,
-        nodes=args.nodes,
-        edges=args.edges,
-        seed=args.seed,
-        shard_timeout=args.shard_timeout,
-        breaker_cooldown_s=args.breaker_cooldown_s,
-        p99_budget_ms=args.p99_budget_ms,
-        report_path=args.output,
-        transitions_path=args.transitions,
-        verbose=True,
-    )
-    counts = report["counts"]
-    print(
-        f"  {report['submitted']} requests: ok={counts['ok']} "
-        f"shed={counts['shed']} deadline={counts['deadline']} "
-        f"error={counts['error']}; p99 "
-        f"{report['latency']['p99_ms']:.1f} ms"
-    )
-    breaker = report["breaker"]
-    print(
-        f"  breaker trips={breaker.get('trips', 0)} "
-        f"restores={breaker.get('restores', 0)} "
-        f"fallbacks={breaker.get('fallbacks', 0)}; canary "
-        f"outcome={report['canary'].get('outcome')}"
-    )
-    print(f"wrote {args.output} and {args.transitions}")
-    for name, passed in report["checks"].items():
-        print(f"  {'ok' if passed else 'FAIL'} {name}")
-    code = smoke_exit_code(report["checks"], [])
-    print(
-        "chaos drill passed" if code == 0
-        else "chaos drill FAILED"
-    )
-    return code
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "serve":
@@ -959,8 +791,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_metrics(args)
     if args.command == "smoke":
         return _cmd_smoke(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

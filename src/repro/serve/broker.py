@@ -228,10 +228,6 @@ class QueryBroker:
         # EWMA of observed batch compute seconds — the basis of the
         # Retry-After hint a shed request carries
         self._compute_ewma = 0.0
-        #: active blue-green decision state (a
-        #: :class:`~repro.serve.guard.Canary`), attached by the
-        #: service during a canary mutation; None otherwise
-        self.canary = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -423,15 +419,9 @@ class QueryBroker:
             if stop_seen or (self._stopping and self._queue.empty()):
                 return
 
-    def _fail_request(
-        self, request: _Request, exc: Exception, side: str | None = None
-    ) -> None:
+    def _fail_request(self, request: _Request, exc: Exception) -> None:
         """Fail one request's future and close out its telemetry."""
         self.stats.errors += 1
-        if side is not None and self.canary is not None:
-            self.canary.record(
-                side, False, perf_counter() - request.enqueued
-            )
         if request.trace is not None:
             self._obs.request_errors.inc()
             self._obs.request_duration.observe(
@@ -466,67 +456,20 @@ class QueryBroker:
             )
 
     async def _dispatch(self, batch: list[_Request]) -> None:
-        # blue-green: while a canary is live, a deterministic fraction
-        # of whole batches reads the green (candidate) snapshot; the
-        # rest keep reading blue. Split by batch, not by member, so a
-        # batch never mixes generations.
-        canary = self.canary
-        side = None
-        if canary is not None and canary.outcome is None:
-            side = canary.choose()
-        if self._router is not None:
-            # atomic pin: the router counts this batch in-flight
-            # against the generation it reads, under the same lock a
-            # hot-swap retires generations with
-            if side == "green":
-                snapshot = self._router.pin_snapshot(canary.green)
-            else:
-                snapshot = self._router.pin()
-            try:
-                await self._dispatch_pinned(
-                    batch, snapshot, canary_side=side
-                )
-            finally:
-                self._router.unpin(snapshot.seq)
-        else:
-            snapshot = (
-                canary.green
-                if side == "green"
-                else self._snapshots.current
-            )
-            await self._dispatch_pinned(
-                batch, snapshot, canary_side=side
-            )
-        if side is not None:
-            await self._maybe_finalize_canary()
-
-    async def _maybe_finalize_canary(self) -> None:
-        """Promote or roll back once the canary verdict is conclusive."""
-        canary = self.canary
-        if canary is None:
+        if self._router is None:
+            await self._dispatch_pinned(batch, self._snapshots.current)
             return
-        verdict = canary.decide()
-        if verdict is None or not canary.finalize(verdict):
-            return
-        callback = (
-            canary.on_promote
-            if verdict == "promote"
-            else canary.on_rollback
-        )
-        if callback is not None:
-            # promote/rollback swap pointers and talk to the worker
-            # pool — keep that off the event loop
-            await asyncio.get_running_loop().run_in_executor(
-                None, callback
-            )
-        if self.canary is canary:
-            self.canary = None
+        # atomic pin: the router counts this batch in-flight against
+        # the generation it reads, under the same lock a hot-swap
+        # retires generations with
+        snapshot = self._router.pin()
+        try:
+            await self._dispatch_pinned(batch, snapshot)
+        finally:
+            self._router.unpin(snapshot.seq)
 
     async def _dispatch_pinned(
-        self,
-        batch: list[_Request],
-        snapshot: Snapshot,
-        canary_side: str | None = None,
+        self, batch: list[_Request], snapshot: Snapshot
     ) -> None:
         # deadline checkpoint one: a member already past its deadline
         # is answered DeadlineExceeded here, without poisoning the
@@ -577,7 +520,7 @@ class QueryBroker:
                     else None
                 )
             except Exception as exc:
-                self._fail_request(request, exc, side=canary_side)
+                self._fail_request(request, exc)
                 continue
             work.append((request, node, extra))
         if not work:
@@ -609,21 +552,10 @@ class QueryBroker:
             {} if self._router is not None and obs.enabled else None
         )
 
-        canary = self.canary
-
         def timed_compute():
             # runs on the executor thread: times the blocked column
             # work itself, separate from the executor hop around it
             t0 = perf_counter()
-            if (
-                canary_side == "green"
-                and canary is not None
-                and canary.inject_green_fault is not None
-            ):
-                # chaos-drill hook: a forced-bad-green raises here,
-                # exactly where a genuinely broken new generation
-                # would fail its batches
-                canary.inject_green_fault()
             if task_mode:
                 cols = self._router.compute_tasks(
                     snapshot.seq, tasks, meta=shard_meta
@@ -641,7 +573,7 @@ class QueryBroker:
             )
         except Exception as exc:
             for request, _, _ in work:
-                self._fail_request(request, exc, side=canary_side)
+                self._fail_request(request, exc)
             return
         dispatch_s = perf_counter() - t_dispatch
         # feed the Retry-After estimator (EWMA, alpha 0.2)
@@ -720,14 +652,8 @@ class QueryBroker:
                         result,
                     )
             except Exception as exc:
-                self._fail_request(request, exc, side=canary_side)
+                self._fail_request(request, exc)
                 continue
-            if canary_side is not None and canary is not None:
-                canary.record(
-                    canary_side,
-                    True,
-                    perf_counter() - request.enqueued,
-                )
             if request.trace is not None:
                 done = perf_counter()
                 obs.render_seconds.observe(done - t_render)

@@ -31,11 +31,9 @@ Endpoints
 ``POST /mutate``
     Body ``{"add": [[u, v], ...], "remove": [[u, v], ...]}`` ->
     builds a fresh snapshot in the background and hot-swaps it;
-    responds with the new snapshot summary. With ``"canary": true``
-    the edit is staged as a blue-green canary instead
-    (:meth:`ServingService.mutate_canary`, optional ``"fraction"``
-    field) and the response carries the live canary document; a
-    canary already in flight answers 409.
+    responds with the new snapshot summary. ``add`` and ``remove``
+    must be lists of ``[u, v]`` pairs, each endpoint a node id (JSON
+    integer) or a label (string); any other body key answers 400.
 
 Unknown nodes, malformed bodies and ill-typed fields answer 400 with
 ``{"error": ...}``; unexpected server-side failures answer 500. The
@@ -98,6 +96,56 @@ def _deadline_field(body: dict) -> float | None:
             "field 'deadline_ms' must be a finite number >= 0"
         )
     return float(value)
+
+
+def _edges_field(body: dict, name: str) -> list[tuple]:
+    """``body[name]`` (default empty): a list of ``[u, v]`` pairs.
+
+    Each endpoint is a node id (a JSON integer, never a bool) or a
+    label (a string).
+
+    >>> _edges_field({"add": [[0, 1], ["a", "k"]]}, "add")
+    [(0, 1), ('a', 'k')]
+    >>> _edges_field({}, "remove")
+    []
+    >>> _edges_field({"add": [[1]]}, "add")
+    Traceback (most recent call last):
+        ...
+    ValueError: field 'add' must be a list of [u, v] pairs of node ids or labels
+    """
+    pairs = body.get(name, [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(
+            isinstance(end, (int, str)) and not isinstance(end, bool)
+            for end in pair
+        )
+        for pair in pairs
+    ):
+        raise ValueError(
+            f"field {name!r} must be a list of [u, v] pairs of "
+            "node ids or labels"
+        )
+    return [tuple(pair) for pair in pairs]
+
+
+def _mutate_fields(body: dict) -> tuple[list, list]:
+    """``(add, remove)`` of a ``/mutate`` body; unknown keys rejected.
+
+    >>> _mutate_fields({"add": [[0, 1]]})
+    ([(0, 1)], [])
+    >>> _mutate_fields({"add": [[0, 1]], "fraction": 0.5})
+    Traceback (most recent call last):
+        ...
+    ValueError: unknown field 'fraction' (accepted: 'add', 'remove')
+    """
+    for key in body:
+        if key not in ("add", "remove"):
+            raise ValueError(
+                f"unknown field {key!r} (accepted: 'add', 'remove')"
+            )
+    return _edges_field(body, "add"), _edges_field(body, "remove")
 
 
 def ranking_to_dict(ranking: Ranking) -> dict:
@@ -211,26 +259,9 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/warmup":
                 self._send_json({"engine_stats": service.warmup()})
             elif self.path == "/mutate":
-                add = body.get("add", ())
-                remove = body.get("remove", ())
-                if body.get("canary"):
-                    fraction = body.get("fraction")
-                    try:
-                        canary = service.mutate_canary(
-                            add=add,
-                            remove=remove,
-                            fraction=(
-                                None if fraction is None
-                                else float(fraction)
-                            ),
-                        )
-                    except RuntimeError as exc:
-                        self._send_json({"error": str(exc)}, 409)
-                        return
-                    self._send_json({"canary": canary.describe()})
-                else:
-                    snapshot = service.mutate(add=add, remove=remove)
-                    self._send_json({"snapshot": snapshot.describe()})
+                add, remove = _mutate_fields(body)
+                snapshot = service.mutate(add=add, remove=remove)
+                self._send_json({"snapshot": snapshot.describe()})
             else:
                 self._send_json(
                     {"error": f"no route {self.path}"}, 404

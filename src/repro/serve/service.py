@@ -35,7 +35,6 @@ from repro.engine.results import Ranking
 from repro.graph.digraph import DiGraph
 from repro.serve.broker import QueryBroker
 from repro.serve.cache import ResultCache
-from repro.serve.guard import Canary
 from repro.serve.snapshot import Snapshot, SnapshotManager
 
 __all__ = ["ServingService"]
@@ -74,13 +73,9 @@ class ServingService:
         starts, and every coalesced micro-batch is split into
         per-worker shards by a :class:`~repro.cluster.ShardRouter`,
         with top-k selection run inside each shard. Mutations run the
-        two-phase worker swap automatically; a crashed worker is
-        respawned and its shard retried, never dropped. Negative
-        counts are rejected with :class:`ValueError`.
-    shard_timeout:
-        Cluster-only: seconds before a hung worker's shard is
-        declared crashed (see
-        :class:`~repro.cluster.ThreadWorkerPool`).
+        two-phase worker swap automatically. A shard runs once: an
+        exception in it fails its batch, with no in-process retry.
+        Negative counts are rejected with :class:`ValueError`.
     delta_mode / max_delta_fraction / max_chain_depth:
         Incremental-maintenance knobs, passed to the
         :class:`~repro.serve.snapshot.SnapshotManager`: small edge
@@ -111,21 +106,6 @@ class ServingService:
         :class:`~repro.serve.guard.DeadlineExceeded` (HTTP 504)
         without poisoning the rest of its micro-batch. Per-request
         ``deadline_ms`` overrides it; ``0`` (default) disables.
-    breaker_threshold / breaker_cooldown_s:
-        Per-worker circuit breaker (cluster mode): after
-        ``breaker_threshold`` consecutive crashes a worker's breaker
-        opens and its shards are answered by the snapshot's own
-        engine; after ``breaker_cooldown_s`` seconds a half-open
-        probe decides whether to restore it. See
-        :class:`~repro.serve.guard.BreakerBoard`.
-    canary_fraction / canary_min_requests / canary_max_error_delta / canary_max_p95_ratio:
-        Blue-green swap policy for :meth:`mutate_canary`: route
-        ``canary_fraction`` of traffic to the new (green) snapshot,
-        and after ``canary_min_requests`` green observations
-        auto-promote — unless green's error rate exceeds blue's by
-        more than ``canary_max_error_delta`` or its p95 latency is
-        more than ``canary_max_p95_ratio`` times blue's, in which
-        case auto-rollback. See :class:`~repro.serve.guard.Canary`.
     slow_query_ms / slow_query_log:
         Slow-query logging knobs (telemetry only): a finished request
         trace at or above ``slow_query_ms`` milliseconds — or one
@@ -160,7 +140,6 @@ class ServingService:
         cache_entries: int = 1024,
         index_path=None,
         workers: int = 0,
-        shard_timeout: float = 120.0,
         delta_mode: str = "auto",
         max_delta_fraction: float = 0.10,
         max_chain_depth: int = 8,
@@ -169,12 +148,6 @@ class ServingService:
         slow_query_log=None,
         max_queue_depth: int = 0,
         default_deadline_ms: float = 0.0,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 5.0,
-        canary_fraction: float = 0.1,
-        canary_min_requests: int = 20,
-        canary_max_error_delta: float = 0.10,
-        canary_max_p95_ratio: float = 3.0,
         **overrides,
     ) -> None:
         from repro.obs import NullObservability, Observability
@@ -206,23 +179,12 @@ class ServingService:
             from repro.cluster import ShardRouter, ThreadWorkerPool
 
             self.cluster = ShardRouter(
-                ThreadWorkerPool(
-                    workers=workers, shard_timeout=shard_timeout
-                ),
+                ThreadWorkerPool(workers=workers),
                 self.snapshots,
                 obs=self.observability,
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown_s=breaker_cooldown_s,
             )
             self.snapshots.pre_swap = self.cluster.pre_swap
             self.snapshots.post_swap = self.cluster.post_swap
-            # blue-green: green generations become servable on the
-            # workers without touching the persisted index, and a
-            # rollback releases them (respecting in-flight pins)
-            self.snapshots.canary_prepare = (
-                self.cluster.prepare_generation
-            )
-            self.snapshots.abort_swap = self.cluster.abort_prepared
         self.broker = QueryBroker(
             self.snapshots,
             max_batch=max_batch,
@@ -233,12 +195,6 @@ class ServingService:
             max_queue_depth=max_queue_depth,
             default_deadline_ms=default_deadline_ms,
         )
-        self.canary_fraction = float(canary_fraction)
-        self.canary_min_requests = int(canary_min_requests)
-        self.canary_max_error_delta = float(canary_max_error_delta)
-        self.canary_max_p95_ratio = float(canary_max_p95_ratio)
-        self._canary_lock = threading.Lock()
-        self._last_canary = None
         self.observability.bind_service(self)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -395,65 +351,6 @@ class ServingService:
         """
         return self.snapshots.mutate(add=add, remove=remove)
 
-    def mutate_canary(
-        self,
-        add: Iterable[Sequence] = (),
-        remove: Iterable[Sequence] = (),
-        *,
-        fraction: float | None = None,
-        inject_green_fault=None,
-    ):
-        """Apply graph edits as a blue-green canary instead of a swap.
-
-        The edited snapshot (*green*) is built and warmed next to the
-        serving one (*blue*), then a configurable traffic ``fraction``
-        is routed to it. After ``canary_min_requests`` green
-        observations the :class:`~repro.serve.guard.Canary` either
-        auto-promotes green (normal pointer swap) or auto-rolls back
-        to blue when green's error rate or p95 regresses past the
-        service thresholds. Returns the live ``Canary`` — poll
-        :meth:`canary_status` (or ``/status``) for its outcome.
-
-        ``inject_green_fault`` is a chaos hook: a callable invoked on
-        every green-side compute (raise to simulate a bad build).
-        Only one canary may be in flight at a time.
-        """
-        with self._canary_lock:
-            if self.broker.canary is not None:
-                raise RuntimeError(
-                    "a canary is already in flight; wait for it to "
-                    "promote or roll back before starting another"
-                )
-            blue, green = self.snapshots.prepare_canary(
-                add=add, remove=remove
-            )
-            canary = Canary(
-                blue,
-                green,
-                fraction=(
-                    self.canary_fraction if fraction is None else fraction
-                ),
-                min_requests=self.canary_min_requests,
-                max_error_delta=self.canary_max_error_delta,
-                max_p95_ratio=self.canary_max_p95_ratio,
-            )
-            canary.inject_green_fault = inject_green_fault
-            canary.on_promote = lambda: self.snapshots.promote_canary(
-                blue, green
-            )
-            canary.on_rollback = lambda: self.snapshots.rollback_canary(
-                blue, green
-            )
-            self._last_canary = canary
-            self.broker.canary = canary
-            return canary
-
-    def canary_status(self) -> dict | None:
-        """The most recent canary's :meth:`~repro.serve.guard.Canary.describe`
-        document (``None`` if no canary has ever been started)."""
-        canary = self._last_canary
-        return None if canary is None else canary.describe()
-
     def status(self) -> dict:
         """A JSON-ready status document (the ``/status`` endpoint).
 
@@ -509,12 +406,6 @@ class ServingService:
                 "queue_depth": self.broker.queue_depth,
                 "shed": self.broker.stats.shed,
                 "deadline_expired": self.broker.stats.deadline_expired,
-                "breaker": (
-                    self.cluster.breakers.describe()
-                    if self.cluster is not None
-                    else None
-                ),
-                "canary": self.canary_status(),
             },
             "observability": self.observability.describe(),
         }

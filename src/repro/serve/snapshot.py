@@ -250,16 +250,6 @@ class SnapshotManager:
         self.index_load_errors = 0
         self.pre_swap = None
         self.post_swap = None
-        # blue-green hooks (None outside cluster mode): canary_prepare
-        # makes a green generation servable by remote holders without
-        # touching the persisted index; abort_swap releases it on
-        # rollback (the router wires these to prepare_generation /
-        # abort_prepared)
-        self.canary_prepare = None
-        self.abort_swap = None
-        self.canary_prepares = 0
-        self.canary_promotes = 0
-        self.canary_rollbacks = 0
         # optional telemetry hook: called with each recorded swap's
         # stage-timing row (repro.obs feeds these into the
         # repro_swap_stage_seconds histogram)
@@ -275,11 +265,6 @@ class SnapshotManager:
             if siblings:
                 self._delta_seq = siblings[-1][0]
         self._swap_latency: deque[dict] = deque(maxlen=256)
-        # monotonic generation allocator: a rolled-back green's seq is
-        # never reused (the pool's deferred release of that generation
-        # could otherwise unlink a *new* generation file of the same
-        # name)
-        self._seq_alloc = 0
         engine = self._engine_for(graph.copy() if copy else graph)
         self._current = Snapshot(engine, seq=0)
 
@@ -661,7 +646,7 @@ class SnapshotManager:
         build_s = perf_counter() - t_build
         fresh = Snapshot(
             engine,
-            seq=self._alloc_seq(base),
+            seq=base.seq + 1,
             delta=delta,
             base_seq=base.seq,
         )
@@ -692,7 +677,7 @@ class SnapshotManager:
         self._warm(engine)
         self.builds += 1
         build_s = perf_counter() - t_build
-        fresh = Snapshot(engine, seq=self._alloc_seq(base))
+        fresh = Snapshot(engine, seq=base.seq + 1)
         prepare_s, commit_s = self._swap_pointer(base, fresh)
         self.full_swaps += 1
         # persist only after the swap: the disk write (checksums
@@ -701,92 +686,6 @@ class SnapshotManager:
         self._persist_index(engine)
         self._record_swap("full", build_s, prepare_s, commit_s)
         return fresh
-
-    def _alloc_seq(self, base: Snapshot) -> int:
-        """Next generation number — monotonic, never reused.
-
-        Equals ``base.seq + 1`` on the ordinary mutation path; only a
-        rolled-back canary leaves a gap (its seq is burned, so the
-        pool's deferred release of the rejected generation can never
-        collide with a later one).
-        """
-        self._seq_alloc = max(self._seq_alloc, base.seq) + 1
-        return self._seq_alloc
-
-    # ------------------------------------------------------------------
-    # blue-green (canary) swaps
-    # ------------------------------------------------------------------
-    def prepare_canary(
-        self,
-        add: Iterable[Sequence] = (),
-        remove: Iterable[Sequence] = (),
-    ) -> tuple[Snapshot, Snapshot]:
-        """Build a green candidate beside the serving blue snapshot.
-
-        The blue-green variant of :meth:`mutate` phase one: the edited
-        graph's engine is built, warmed, and (in cluster mode) made
-        servable by every worker via the ``canary_prepare`` hook — but
-        the ``current`` pointer is *not* swapped and the persisted
-        index is *not* touched. Returns ``(blue, green)``; the caller
-        (the serving service) shifts a traffic fraction to green and
-        later calls :meth:`promote_canary` or :meth:`rollback_canary`.
-
-        Raises (building nothing servable) if any edit is invalid,
-        exactly like :meth:`mutate`.
-        """
-        add = list(add)
-        remove = list(remove)
-        with self._build_lock:
-            base = self.current
-            add_ids = self._resolve_pairs(base.engine, add)
-            remove_ids = self._resolve_pairs(base.engine, remove)
-            # validate with mutate's exact all-or-nothing semantics
-            self._effective_edits(base.graph, add_ids, remove_ids)
-            graph = base.graph.copy()
-            for u, v in add_ids:
-                graph.add_edge(u, v)
-            for u, v in remove_ids:
-                graph.remove_edge(u, v)
-            engine = self._engine_for(graph)
-            self._warm(engine)
-            self.builds += 1
-            green = Snapshot(engine, seq=self._alloc_seq(base))
-            if self.canary_prepare is not None:
-                # remote holders load the green generation; raising
-                # aborts the canary with blue serving untouched
-                self.canary_prepare(green)
-            self.canary_prepares += 1
-            return base, green
-
-    def promote_canary(self, blue: Snapshot, green: Snapshot) -> Snapshot:
-        """Make the green candidate the serving snapshot.
-
-        Runs the ordinary two-phase swap (workers already hold the
-        generation, so the prepare phase is an adoption, not a
-        rebuild) and persists green's index — from here on this is
-        exactly a completed :meth:`mutate`.
-        """
-        with self._build_lock:
-            prepare_s, commit_s = self._swap_pointer(blue, green)
-            self.full_swaps += 1
-            self.canary_promotes += 1
-            self._persist_index(green.engine)
-            self._record_swap("full", 0.0, prepare_s, commit_s)
-            return green
-
-    def rollback_canary(self, blue: Snapshot, green: Snapshot) -> Snapshot:
-        """Reject the green candidate; blue keeps serving untouched.
-
-        Nothing was swapped and nothing was persisted, so rollback is
-        pure release: the ``abort_swap`` hook lets remote holders drop
-        the green generation (respecting any green batch still in
-        flight). Returns ``blue``.
-        """
-        with self._build_lock:
-            self.canary_rollbacks += 1
-            if self.abort_swap is not None:
-                self.abort_swap(green)
-            return blue
 
     def swap_latency_summary(self) -> dict:
         """count/p50/p90/max per stage, split full vs delta swaps.
@@ -832,11 +731,6 @@ class SnapshotManager:
                 "fallbacks": self.delta_fallbacks,
                 "last_fallback": self.last_delta_fallback,
                 "segments_loaded": self.delta_segments_loaded,
-            },
-            "canary": {
-                "prepares": self.canary_prepares,
-                "promotes": self.canary_promotes,
-                "rollbacks": self.canary_rollbacks,
             },
             "swap_latency": self.swap_latency_summary(),
             "index": {

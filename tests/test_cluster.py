@@ -1,14 +1,13 @@
 """Tests for :mod:`repro.cluster` — sharded serving, failure paths.
 
-The happy-path tests share one module-scoped router; the
-failure-injection and hot-swap tests build their own, on deliberately
-small graphs.
+The happy-path and shard-failure tests share one module-scoped
+router; the hot-swap tests build their own, on deliberately small
+graphs.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 
 import numpy as np
@@ -119,44 +118,32 @@ def test_duplicate_and_empty_batches(cluster_env):
 
 
 # ---------------------------------------------------------------------------
-# worker failure: crashed workers respawn, requests never drop
+# shard failure: each shard runs once, an exception fails the batch
 # ---------------------------------------------------------------------------
-def test_killed_worker_is_respawned_and_shard_retried(cluster_env):
+def test_failing_shard_fails_its_batch_without_retry(
+    cluster_env, monkeypatch
+):
     _, _, router = cluster_env
-    before = router.pool.describe()["respawns"]
-    router.pool.kill_worker(0)
+    calls = []
+
+    def failing_shard(worker_index, seq, ids):
+        calls.append(worker_index)
+        raise RuntimeError("injected shard failure")
+
+    monkeypatch.setattr(router.pool, "shard", failing_shard)
     snapshot = router.pin()
     try:
-        columns = router.compute(snapshot.seq, list(range(150, 190)))
+        with pytest.raises(ClusterError, match="2 of 2 shards failed"):
+            router.compute(snapshot.seq, [0, 1, 2, 3])
     finally:
         router.unpin(snapshot.seq)
-    assert sorted(columns) == list(range(150, 190))
-    assert router.pool.describe()["respawns"] == before + 1
-    assert router.shard_retries >= 1
-    assert all(w["alive"] for w in router.pool.worker_status())
+    assert sorted(calls) == [0, 1]
 
 
-def test_kill_mid_batch_request_still_completes(cluster_env):
+def test_missing_generation_is_a_cluster_error(cluster_env):
     _, _, router = cluster_env
-    before = router.pool.describe()["respawns"]
-    ids = list(range(190, 260))
-    killer = threading.Thread(
-        target=lambda: (time.sleep(0.005),
-                        router.pool.kill_worker(1))
-    )
-    snapshot = router.pin()
-    try:
-        killer.start()
-        first = router.compute(snapshot.seq, ids)
-        killer.join()
-        # whether the kill landed mid-shard or between batches, the
-        # next batch must route through a healthy (respawned) worker
-        second = router.compute(snapshot.seq, list(range(260, 290)))
-    finally:
-        router.unpin(snapshot.seq)
-    assert sorted(first) == ids
-    assert sorted(second) == list(range(260, 290))
-    assert router.pool.describe()["respawns"] >= before + 1
+    with pytest.raises(ClusterError, match="holds no generation 99"):
+        router.pool.shard(0, 99, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +222,7 @@ def test_failed_prepare_aborts_swap_and_old_snapshot_serves(
 def test_aborted_prepare_unregisters_the_failed_generation(
     swap_env, monkeypatch
 ):
-    """A failed swap must not poison later respawns with a bad gen."""
+    """A failed swap leaves no trace of the failed generation."""
     _, snapshots, router = swap_env
     pool = router.pool
     adopt = ThreadWorkerPool._adopt
@@ -254,29 +241,10 @@ def test_aborted_prepare_unregisters_the_failed_generation(
     with pytest.raises(ClusterError, match="injected"):
         snapshots.mutate(add=[(0, 5)])
     monkeypatch.undo()
-    # the failed generation is gone from the replay set and from
-    # every worker, including the one that adopted it
+    # the failed generation is gone from the pool and from every
+    # worker, including the one that adopted it
     assert pool.describe()["generations"] == [0]
     assert all(w["generations"] == [0] for w in pool.worker_status())
-    # crash recovery replays only healthy generations
-    pool.kill_worker(0)
-    snapshot = router.pin()
-    try:
-        columns = router.compute(snapshot.seq, [0, 1, 2, 3])
-    finally:
-        router.unpin(snapshot.seq)
-    assert sorted(columns) == [0, 1, 2, 3]
-
-
-def test_respawn_refused_after_stop():
-    snapshots = SnapshotManager(
-        random_digraph(30, 90, seed=2), CONFIG
-    )
-    router = ShardRouter(ThreadWorkerPool(workers=1), snapshots)
-    router.start()
-    router.stop()
-    with pytest.raises(ClusterError, match="stopped"):
-        router.pool.respawn(0)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ DOCTEST_MODULES = (
     "repro.index.delta",
     "repro.serve.broker",
     "repro.serve.cache",
-    "repro.serve.chaos",
     "repro.serve.guard",
     "repro.serve.http",
     "repro.serve.service",

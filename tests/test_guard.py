@@ -1,19 +1,15 @@
-"""Tests for the guard layer: shedding, deadlines, breaker, canary."""
+"""Tests for the guard layer: shedding, deadlines, request accounting."""
 
 import asyncio
 import json
-import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.graph import figure1_citation_graph, random_digraph
+from repro.graph import random_digraph
 from repro.serve import (
-    BreakerBoard,
-    Canary,
-    CircuitBreaker,
     DeadlineExceeded,
     Overloaded,
     ServingService,
@@ -31,97 +27,6 @@ def make_service(graph=None, **kwargs):
         graph = random_digraph(60, 300, seed=3)
     kwargs.setdefault("num_iterations", 6)
     return ServingService(graph, **kwargs)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=3, clock=clock)
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_restores_or_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            threshold=1, cooldown_s=5.0, clock=clock
-        )
-        breaker.record_failure()
-        assert not breaker.allow()          # open, inside cooldown
-        clock.now += 5.1
-        assert breaker.allow()              # the half-open probe
-        assert breaker.state == "half_open"
-        assert not breaker.allow()          # only one probe at a time
-        breaker.record_failure()            # probe failed -> reopen
-        assert breaker.state == "open"
-        clock.now += 5.1
-        assert breaker.allow()
-        breaker.record_success()            # probe passed -> restore
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_numeric_values_for_the_gauge(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, clock=clock)
-        assert breaker.value == 0
-        breaker.record_failure()
-        assert breaker.value == 2
-        clock.now += 10.0
-        breaker.allow()
-        assert breaker.value == 1
-
-
-class TestBreakerBoard:
-    def test_counts_trips_restores_and_logs_transitions(self):
-        clock = FakeClock()
-        board = BreakerBoard(
-            2, threshold=1, cooldown_s=1.0, clock=clock
-        )
-        assert board.record_failure(0) is True      # opened
-        assert board.trips == 1
-        assert board.states()[0] == "open"
-        assert board.states()[1] == "closed"
-        clock.now += 1.1
-        assert board.allow(0)
-        board.record_success(0)
-        assert board.restores == 1
-        kinds = [
-            (row["from"], row["to"]) for row in board.transitions
-        ]
-        assert ("closed", "open") in kinds
-        assert ("open", "half_open") in kinds
-        assert ("half_open", "closed") in kinds
-        assert all(
-            row["worker"] == 0 for row in board.transitions
-        )
-
-    def test_values_feed_the_labelled_gauge(self):
-        board = BreakerBoard(3, threshold=1, clock=FakeClock())
-        board.record_failure(2)
-        assert board.values() == [(0, 0), (1, 0), (2, 2)]
-
-    def test_fallbacks_are_counted(self):
-        board = BreakerBoard(1, threshold=1)
-        board.record_fallback()
-        board.record_fallback()
-        assert board.fallbacks == 2
 
 
 class TestLoadShedding:
@@ -234,221 +139,6 @@ class TestDeadlines:
         assert len(run(main())) == 3
 
 
-class TestCanaryLocal:
-    def test_healthy_green_auto_promotes(self):
-        service = make_service(
-            graph=figure1_citation_graph(),
-            num_iterations=8,
-            cache_entries=0,
-            canary_min_requests=4,
-        )
-
-        async def main():
-            async with service:
-                blue_seq = service.snapshots.current.seq
-                canary = service.mutate_canary(
-                    add=[("a", "h")], fraction=0.5
-                )
-                for _ in range(40):
-                    await service.top_k("h", k=3)
-                    if canary.outcome:
-                        break
-                await asyncio.sleep(0.2)
-                return blue_seq, canary
-
-        blue_seq, canary = run(main())
-        assert canary.outcome == "promote"
-        assert service.snapshots.current.seq > blue_seq
-        assert service.snapshots.canary_promotes == 1
-        assert service.broker.canary is None
-
-    def test_faulty_green_auto_rolls_back(self):
-        service = make_service(
-            graph=figure1_citation_graph(),
-            num_iterations=8,
-            cache_entries=0,
-            canary_min_requests=4,
-        )
-
-        def bad_green():
-            raise RuntimeError("forced bad green")
-
-        async def main():
-            async with service:
-                blue_seq = service.snapshots.current.seq
-                canary = service.mutate_canary(
-                    add=[("a", "h")],
-                    fraction=0.5,
-                    inject_green_fault=bad_green,
-                )
-                for _ in range(80):
-                    try:
-                        await service.top_k("h", k=3)
-                    except RuntimeError:
-                        pass
-                    if canary.outcome:
-                        break
-                await asyncio.sleep(0.2)
-                # blue keeps serving after the rollback
-                ranking = await service.top_k("h", k=3)
-                return blue_seq, canary, ranking
-
-        blue_seq, canary, ranking = run(main())
-        assert canary.outcome == "rollback"
-        assert service.snapshots.current.seq == blue_seq
-        assert service.snapshots.canary_rollbacks == 1
-        assert len(ranking) == 3
-
-    def test_only_one_canary_in_flight(self):
-        service = make_service(
-            graph=figure1_citation_graph(), num_iterations=8
-        )
-
-        async def main():
-            async with service:
-                service.mutate_canary(add=[("a", "h")])
-                with pytest.raises(RuntimeError, match="in flight"):
-                    service.mutate_canary(add=[("b", "h")])
-
-        run(main())
-
-    def test_rolled_back_seq_is_never_reused(self):
-        service = make_service(
-            graph=figure1_citation_graph(),
-            num_iterations=8,
-            cache_entries=0,
-            canary_min_requests=2,
-        )
-
-        def bad_green():
-            raise RuntimeError("forced bad green")
-
-        async def main():
-            async with service:
-                canary = service.mutate_canary(
-                    add=[("a", "h")],
-                    fraction=1.0,
-                    inject_green_fault=bad_green,
-                )
-                green_seq = canary.green.seq
-                for _ in range(40):
-                    try:
-                        await service.top_k("h", k=3)
-                    except RuntimeError:
-                        pass
-                    if canary.outcome:
-                        break
-                await asyncio.sleep(0.2)
-                snapshot = service.mutate(add=[("b", "h")])
-                return green_seq, snapshot.seq
-
-        green_seq, next_seq = run(main())
-        assert next_seq > green_seq
-
-    def test_canary_describe_in_status(self):
-        service = make_service(
-            graph=figure1_citation_graph(), num_iterations=8
-        )
-
-        async def main():
-            async with service:
-                assert service.status()["guard"]["canary"] is None
-                service.mutate_canary(add=[("a", "h")])
-                return service.status()["guard"]["canary"]
-
-        document = run(main())
-        assert document["outcome"] is None
-        assert document["counts"]["green"] == {"ok": 0, "errors": 0}
-
-
-class TestCanaryDecisions:
-    def test_deterministic_traffic_split(self):
-        canary = Canary("blue", "green", fraction=0.25)
-        # the accumulator starts primed, so the first call probes
-        # green immediately, then settles into 1-in-4
-        sides = [canary.choose() for _ in range(9)]
-        assert sides[0] == "green"
-        assert sides[1:].count("green") == 2
-        assert all(s in ("blue", "green") for s in sides)
-
-    def test_error_delta_rolls_back(self):
-        canary = Canary(
-            "b", "g", min_requests=4, max_error_delta=0.1
-        )
-        for _ in range(4):
-            canary.record("green", False, 0.01)
-        assert canary.decide() == "rollback"
-
-    def test_p95_regression_rolls_back(self):
-        canary = Canary("b", "g", min_requests=4, max_p95_ratio=2.0)
-        for _ in range(20):
-            canary.record("blue", True, 0.010)
-        for _ in range(4):
-            canary.record("green", True, 0.100)
-        assert canary.decide() == "rollback"
-
-    def test_finalize_is_single_shot(self):
-        canary = Canary("b", "g", min_requests=1)
-        canary.record("green", True, 0.01)
-        assert canary.finalize("promote") is True
-        assert canary.finalize("rollback") is False
-        assert canary.decide() is None
-        assert canary.outcome == "promote"
-
-
-class TestBreakerThroughRouter:
-    def test_kill_trips_fallback_answers_probe_restores(self):
-        service = make_service(
-            workers=2,
-            cache_entries=0,
-            breaker_threshold=1,
-            breaker_cooldown_s=0.2,
-        )
-
-        async def main():
-            async with service:
-                await asyncio.gather(
-                    *(service.top_k(q, k=3) for q in range(8))
-                )
-                service.cluster.pool.kill_worker(0)
-                # answered via the in-process fallback, not dropped
-                rankings = await asyncio.gather(
-                    *(service.top_k(q, k=3) for q in range(8))
-                )
-                assert all(len(r) == 3 for r in rankings)
-                board = service.cluster.breakers
-                assert board.trips >= 1
-                assert board.fallbacks >= 1
-                await asyncio.sleep(0.25)
-                await asyncio.gather(
-                    *(service.top_k(q, k=3) for q in range(8))
-                )
-                return board
-
-        board = run(main())
-        assert board.restores >= 1
-        assert set(board.states().values()) == {"closed"}
-
-    def test_breaker_states_surface_in_status_and_metrics(self):
-        service = make_service(
-            workers=2, breaker_threshold=1
-        )
-
-        async def main():
-            async with service:
-                await service.top_k(0, k=3)
-                status = service.status()
-                text = service.metrics_text()
-                return status, text
-
-        status, text = run(main())
-        breaker = status["guard"]["breaker"]
-        assert breaker["threshold"] == 1
-        assert breaker["states"] == {"0": "closed", "1": "closed"}
-        assert 'repro_breaker_state{worker="0"}' in text
-        assert "repro_breaker_trips_total" in text
-
-
 class TestGuardOverHTTP:
     def test_shed_answers_429_with_retry_after(self):
         service = make_service(
@@ -519,40 +209,6 @@ class TestGuardOverHTTP:
             assert "deadline" in json.loads(excinfo.value.read())[
                 "error"
             ]
-        finally:
-            server.stop()
-            service.close()
-
-    def test_mutate_canary_route_and_conflict_409(self):
-        service = make_service(
-            graph=figure1_citation_graph(), num_iterations=8
-        )
-        service.start_background()
-        server = serve_http(service, background=True)
-
-        def post_mutate(payload):
-            body = json.dumps(payload).encode()
-            request = urllib.request.Request(
-                f"{server.url}/mutate", data=body,
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            return urllib.request.urlopen(request, timeout=60)
-
-        try:
-            with post_mutate(
-                {"add": [["a", "h"]], "canary": True,
-                 "fraction": 0.5}
-            ) as reply:
-                document = json.loads(reply.read())
-            assert document["canary"]["fraction"] == 0.5
-            assert document["canary"]["outcome"] is None
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                post_mutate(
-                    {"add": [["b", "h"]], "canary": True}
-                )
-            assert excinfo.value.code == 409
-            excinfo.value.read()
         finally:
             server.stop()
             service.close()

@@ -112,6 +112,18 @@ class TestSymmetricPathExistence:
             brute |= count_inlink_paths(g, k, k) > 0
         np.testing.assert_array_equal(sym, brute)
 
+    def test_fixpoint_deeper_than_n_on_a_cycle(self):
+        # the shortest equal-length path to (2, 3) has depth 7 > n = 6:
+        # a fixpoint capped at n steps reported no symmetric path
+        g = DiGraph(6, edges=[(0, 1), (0, 4), (1, 0), (2, 3), (2, 5),
+                              (3, 1), (4, 2)])
+        sym = symmetric_inlink_path_exists(g)
+        assert sym[2, 3] and sym[3, 2]
+        assert not symmetric_inlink_path_exists(g, max_depth=6)[2, 3]
+        s = simrank_matrix(g, 0.6, 24)
+        assert s[2, 3] > 1e-13
+        np.testing.assert_array_equal(sym, s > 1e-13)
+
     def test_figure1_hd_has_no_symmetric_path(self):
         g = figure1_citation_graph()
         sym = symmetric_inlink_path_exists(g)

@@ -124,6 +124,17 @@ class TestEndpoints:
              "deadline_ms"),
             ("/score", {"u": "h", "v": "d", "deadline_ms": float("nan")},
              "deadline_ms"),
+            ("/mutate", {"add": [[1]]}, "add"),
+            ("/mutate", {"add": 5}, "add"),
+            ("/mutate", {"add": "xy"}, "add"),
+            ("/mutate", {"add": [["a", ["h"]]]}, "add"),
+            ("/mutate", {"add": [[True, 1]]}, "add"),
+            ("/mutate", {"remove": [[0, 1, 2]]}, "remove"),
+            ("/mutate", {"remove": {"a": "h"}}, "remove"),
+            ("/mutate", {"add": [["a", "h"]], "fraction": 0.5},
+             "fraction"),
+            ("/mutate", {"add": [["a", "h"]], "blue_green": True},
+             "blue_green"),
         ],
     )
     def test_ill_typed_field_answers_400_naming_it(
@@ -136,6 +147,7 @@ class TestEndpoints:
         assert f"'{field}'" in message
         for interpreter_text in (
             "Traceback", "invalid literal", "int(", "float(", "Error",
+            "unpack", "not iterable", "unhashable",
         ):
             assert interpreter_text not in message
 
@@ -216,7 +228,7 @@ class TestSmokeCli:
         [
             ["serve", "--workers", "-1"],
             ["smoke", "--workers", "-1"],
-            ["chaos", "--workers", "0"],
+            ["serve", "--workers", "two"],
         ],
     )
     def test_bad_worker_count_is_a_usage_error(self, argv, capsys):
